@@ -76,7 +76,6 @@ fn bench_symmetry_breaking(c: &mut Criterion) {
                     strudel_ilp::prelude::Solver::with_config(
                         strudel_ilp::prelude::SolverConfig {
                             first_solution_only: true,
-                            use_lp_root_bound: false,
                             ..Default::default()
                         },
                     )

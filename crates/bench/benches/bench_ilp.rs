@@ -1,5 +1,5 @@
 //! Benchmarks of the raw ILP substrate (the CPLEX stand-in): branch & bound
-//! on classic instance shapes and the dense simplex.
+//! on classic instance shapes and presolve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -94,8 +94,8 @@ fn bench_branch_and_bound(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_presolve_and_simplex(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ilp_presolve_simplex");
+fn bench_presolve(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ilp_presolve");
     group.bench_function("presolve/knapsack24", |b| {
         let model = knapsack_model(24);
         b.iter(|| {
@@ -103,23 +103,8 @@ fn bench_presolve_and_simplex(c: &mut Criterion) {
             black_box(presolve(&mut clone))
         })
     });
-    group.bench_function("lp_relaxation/knapsack24", |b| {
-        let model = knapsack_model(24);
-        b.iter(|| black_box(lp_relaxation(black_box(&model)).unwrap()))
-    });
-    group.bench_function("simplex/dense_40x40", |b| {
-        let mut lp = LpProblem::new(40);
-        for j in 0..40 {
-            lp.objective[j] = 1.0 + (j % 5) as f64;
-        }
-        for i in 0..40 {
-            let row: Vec<f64> = (0..40).map(|j| ((i + j) % 7) as f64 * 0.5 + 0.1).collect();
-            lp.add_row(row, 50.0 + i as f64);
-        }
-        b.iter(|| black_box(solve_lp(black_box(&lp))))
-    });
     group.finish();
 }
 
-criterion_group!(benches, bench_branch_and_bound, bench_presolve_and_simplex);
+criterion_group!(benches, bench_branch_and_bound, bench_presolve);
 criterion_main!(benches);

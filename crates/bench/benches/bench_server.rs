@@ -15,19 +15,17 @@
 //! requests/s should beat single-request (framing and syscalls amortized
 //! across the envelope — asserted at ≥ 2× on the scan poller backend and
 //! ≥ 1.1× on epoll, whose per-request overhead is already far lower);
-//! the poller section compares the readiness backends head to head
-//! (uring joins automatically where the kernel admits it) and asserts
-//! the epoll backend idles at ≤ 10% of the scan backend's wake-up rate
-//! with no cached-path throughput regression, and that uring holds
-//! ≥ 85% of epoll's batched cached throughput while reporting each
-//! backend's kernel entries per request (`BENCH_uring.json` persists
-//! that comparison);
+//! the poller section compares the readiness backends head to head and
+//! asserts the epoll backend idles at ≤ 10% of the scan backend's
+//! wake-up rate with no cached-path throughput regression, reporting
+//! each backend's kernel entries per request;
 //! and the warm-start section shows a restarted server answering every
 //! previously-cached request from the replayed segment, byte-identically,
 //! without recomputing (also asserted). The cluster section compares a
 //! key-diverse cold workload on one process vs 3 shards behind the
-//! `Router` (≥ 2× is asserted on machines with at least 4 cores — the
-//! speedup is real parallelism, so it needs real cores). The wire
+//! `Router` (≥ 2× is asserted, and `BENCH_cluster.json` written, only on
+//! machines with at least 4 cores — the speedup is real parallelism, so
+//! it needs real cores). The wire
 //! section drives the same batched cached workload over line-JSON and
 //! the bin1 binary framing on both poller backends and asserts bin1
 //! delivers ≥ 1.2× the throughput while moving fewer request bytes per
@@ -42,7 +40,7 @@
 //! of the `observe` status block, so each headline number comes with
 //! its lifecycle cost breakdown.
 //!
-//! Besides the printed tables, every section persists a
+//! Besides the printed tables, every section whose bar ran persists a
 //! `BENCH_<section>.json` trajectory file (throughput, p99, counters —
 //! integers only, so runs diff cleanly) into the working directory, or
 //! into `STRUDEL_BENCH_DIR` when set — CI archives these per run.
@@ -498,13 +496,24 @@ fn main() {
         split[0], split[1], split[2]
     );
     println!("  speedup 3-shard/1:       {cluster_speedup:>8.1}×  ({cores} cores available)");
-    // The parallel win needs cores to park the extra shards on: assert on
-    // CI-sized machines (the workflow runs this), report everywhere else.
+    // The parallel win needs cores to park the extra shards on: assert and
+    // persist on CI-sized machines (the workflow runs this), only report
+    // everywhere else — a fewer-core "speedup" is not the number the
+    // trajectory tracks.
     if cores >= 4 {
         assert!(
             cluster_speedup >= 2.0,
             "3 shards must serve a key-diverse cold workload at least 2× faster \
              than one process, measured {cluster_speedup:.1}×"
+        );
+        emit_trajectory(
+            "cluster",
+            vec![
+                ("single_rps", Json::Int(single_rps as i64)),
+                ("cluster_rps", Json::Int(cluster_rps as i64)),
+                ("speedup_pct", Json::Int((cluster_speedup * 100.0) as i64)),
+                ("cores", Json::Int(cores as i64)),
+            ],
         );
     } else {
         println!("  (speedup assertion skipped: needs >= 4 cores, found {cores})");
@@ -514,15 +523,6 @@ fn main() {
             .iter()
             .map(|status| status.result().expect("shard status result"))
             .collect::<Vec<_>>(),
-    );
-    emit_trajectory(
-        "cluster",
-        vec![
-            ("single_rps", Json::Int(single_rps as i64)),
-            ("cluster_rps", Json::Int(cluster_rps as i64)),
-            ("speedup_pct", Json::Int((cluster_speedup * 100.0) as i64)),
-            ("cores", Json::Int(cores as i64)),
-        ],
     );
 
     // ── Replication ─────────────────────────────────────────────────────
@@ -636,20 +636,15 @@ fn main() {
 
     // ── Poller backends ─────────────────────────────────────────────────
     // The event loop's readiness backends compared head to head — every
-    // backend the host offers joins automatically, so on an
-    // io_uring-capable kernel this is a three-way uring/epoll/scan
-    // comparison. Measured per backend: idle wake-up rate (a 1 s window
-    // with 64 open, silent connections — the scan backend sweeps ~500×/s
-    // no matter what, the kernel backends block), cached-path p99
-    // dispatch latency across those 64 connections, cached throughput
-    // single and batched, and kernel entries per request off the
-    // `poller.syscalls` counter (epoll pays one `epoll_ctl` per interest
-    // flip plus one `epoll_wait` per round; uring batches every interest
-    // change into the round's single `io_uring_enter`). Asserted: epoll
-    // idles at ≤ 10% of scan's wake-up rate with no cached-path
-    // throughput regression, and where uring runs it must hold ≥ 85% of
-    // epoll's batched cached throughput — the backend exists to cut
-    // syscalls, not to trade throughput away.
+    // backend the host offers joins automatically. Measured per backend:
+    // idle wake-up rate (a 1 s window with 64 open, silent connections —
+    // the scan backend sweeps ~500×/s no matter what, epoll blocks),
+    // cached-path p99 dispatch latency across those 64 connections,
+    // cached throughput single and batched, and kernel entries per
+    // request off the `poller.syscalls` counter (epoll pays one
+    // `epoll_ctl` per interest flip plus one `epoll_wait` per round).
+    // Asserted: epoll idles at ≤ 10% of scan's wake-up rate with no
+    // cached-path throughput regression.
     const POLLER_CONNS: usize = 64;
     const POLLER_CACHED: usize = 1600;
     const POLLER_BATCH: usize = 50;
@@ -723,9 +718,8 @@ fn main() {
 
         // The batched cached leg, with the backend's syscall counter
         // snapshotted around it: requests per second, and kernel entries
-        // per request — the number batched submission exists to push
-        // down (the scan backend reports 0: it never enters the kernel
-        // to learn about readiness).
+        // per request (the scan backend reports 0: it never enters the
+        // kernel to learn about readiness).
         let batch: Vec<Json> = (0..POLLER_BATCH)
             .map(|_| cached_request.to_json())
             .collect();
@@ -823,47 +817,6 @@ fn main() {
             "epoll p99 must not blow up vs scan, measured {:?} vs {:?}",
             epoll.p99,
             scan.p99
-        );
-    }
-    // The uring bar only runs where the startup probe admitted the
-    // backend — the trajectory file's presence/absence also tells CI
-    // whether the runner's kernel could exercise it at all.
-    let uring = runs.iter().find(|run| run.kind == PollerKind::Uring);
-    if let (Some(uring), Some(epoll)) = (uring, epoll) {
-        let batched_ratio = uring.batched_rps / epoll.batched_rps.max(f64::MIN_POSITIVE);
-        println!(
-            "  batched ratio uring/epoll: {batched_ratio:>6.2}  (acceptance: >= 0.85); \
-             syscalls/req {:.2} vs {:.2}",
-            uring.syscalls_per_req, epoll.syscalls_per_req
-        );
-        assert!(
-            batched_ratio >= 0.85,
-            "uring must hold >= 85% of epoll's batched cached throughput, \
-             measured {:.0} vs {:.0} req/s",
-            uring.batched_rps,
-            epoll.batched_rps
-        );
-        emit_trajectory(
-            "uring",
-            vec![
-                ("batched_rps", Json::Int(uring.batched_rps as i64)),
-                ("epoll_batched_rps", Json::Int(epoll.batched_rps as i64)),
-                (
-                    "batched_ratio_pct",
-                    Json::Int((batched_ratio * 100.0) as i64),
-                ),
-                (
-                    "syscalls_per_req_milli",
-                    Json::Int((uring.syscalls_per_req * 1000.0) as i64),
-                ),
-                (
-                    "epoll_syscalls_per_req_milli",
-                    Json::Int((epoll.syscalls_per_req * 1000.0) as i64),
-                ),
-                ("idle_wakeups_per_s", Json::Int(uring.idle_rate as i64)),
-                ("cached_p99_us", Json::Int(uring.p99.as_micros() as i64)),
-                ("cached_rps", Json::Int(uring.cached_rps as i64)),
-            ],
         );
     }
 

@@ -41,14 +41,12 @@ pub const USAGE: &str = "strudel serve [--addr HOST:PORT] [--workers N] [--cache
   readiness-based event loop, with a fixed-size compute pool, a
   content-addressed result cache (LRU), single-flight deduplication of
   concurrent identical solves, and a batch envelope amortizing framing.
-  --poller uring|epoll|scan|auto picks the event loop's readiness backend:
-  uring (Linux 5.1+ io_uring poll mode; batched interest changes, one
-  kernel entry per loop round), epoll (Linux kernel readiness; idle costs
-  zero wake-ups), scan (the portable full-scan/park fallback), or auto
-  (the default: uring where a startup probe confirms kernel support,
-  epoll on other Linux, scan elsewhere; the STRUDEL_POLLER environment
-  variable overrides auto). An explicit uring/epoll on a platform that
-  cannot run it is an error; only auto falls back.
+  --poller epoll|scan|auto picks the event loop's readiness backend:
+  epoll (Linux kernel readiness; idle costs zero wake-ups), scan (the
+  portable full-scan/park fallback), or auto (the default: epoll on
+  Linux, scan elsewhere; the STRUDEL_POLLER environment variable
+  overrides auto). An explicit epoll on a platform that cannot run it is
+  an error; only auto falls back.
   --persist FILE write-through caches results to an append-only segment file
   replayed on the next start (warm start, byte-identical answers);
   --compact-dead N compacts the segment once N dead records accumulate
@@ -391,6 +389,7 @@ mod tests {
         assert!(run(&args(&["--fsync", "sometimes"])).is_err());
         assert!(run(&args(&["--fsync", "interval:0"])).is_err());
         assert!(run(&args(&["--poller", "kqueue"])).is_err());
+        assert!(run(&args(&["--poller", "uring"])).is_err());
         // Tenant specs are validated up front: unknown knobs, zero
         // values, and malformed entries are usage errors.
         assert!(run(&args(&["--tenants", "acme:speed=9"])).is_err());

@@ -31,13 +31,6 @@ pub struct IlpEngineConfig {
     pub node_limit: Option<u64>,
     /// Whether to run presolve on the encoded model before solving.
     pub presolve: bool,
-    /// Whether the solver may compute an LP root bound (only meaningful for
-    /// objective-bearing models; sort-refinement instances are pure
-    /// feasibility problems, so the default is off).
-    pub use_lp_root_bound: bool,
-    /// Size cap (`variables + constraints`) below which the LP root bound is
-    /// attempted; forwarded to [`SolverConfig::lp_size_limit`].
-    pub lp_size_limit: usize,
     /// Branching heuristic for the solver.
     pub brancher: BrancherKind,
     /// Luby restart base in conflicts; `None` disables restarts.
@@ -54,8 +47,6 @@ impl Default for IlpEngineConfig {
             time_limit: None,
             node_limit: None,
             presolve: true,
-            use_lp_root_bound: false,
-            lp_size_limit: SolverConfig::default().lp_size_limit,
             brancher: BrancherKind::InputOrder,
             restart_conflict_base: None,
             stop: None,
@@ -197,8 +188,6 @@ impl IlpEngine {
         let solver = Solver::with_config(SolverConfig {
             time_limit: self.config.time_limit,
             node_limit: self.config.node_limit,
-            use_lp_root_bound: self.config.use_lp_root_bound,
-            lp_size_limit: self.config.lp_size_limit,
             first_solution_only: true,
             brancher: self.config.brancher,
             restart_conflict_base: self.config.restart_conflict_base,

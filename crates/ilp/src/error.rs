@@ -16,33 +16,20 @@ pub enum IlpError {
     /// Coefficients are large enough that activity computations could
     /// overflow. The offending constraint is named.
     CoefficientOverflow(String),
-    /// The LP relaxation was requested for a model that exceeds the dense
-    /// simplex size limits.
-    RelaxationTooLarge {
-        /// Number of variables in the model.
-        vars: usize,
-        /// Number of constraints in the model.
-        constraints: usize,
-    },
-    /// The LP is unbounded (only possible for objective-bearing models with
-    /// free relaxations, which the ILP layer never produces itself).
-    Unbounded,
 }
 
 impl fmt::Display for IlpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IlpError::UnknownVariable { index, num_vars } => {
-                write!(f, "variable index {index} out of range (model has {num_vars} variables)")
+                write!(
+                    f,
+                    "variable index {index} out of range (model has {num_vars} variables)"
+                )
             }
             IlpError::CoefficientOverflow(name) => {
                 write!(f, "coefficients of constraint '{name}' risk overflow")
             }
-            IlpError::RelaxationTooLarge { vars, constraints } => write!(
-                f,
-                "LP relaxation with {vars} variables and {constraints} constraints exceeds the dense simplex limits"
-            ),
-            IlpError::Unbounded => write!(f, "the linear relaxation is unbounded"),
         }
     }
 }
@@ -61,6 +48,5 @@ mod tests {
         };
         assert!(err.to_string().contains('7'));
         assert!(err.to_string().contains('3'));
-        assert!(IlpError::Unbounded.to_string().contains("unbounded"));
     }
 }

@@ -20,9 +20,7 @@
 //! * [`search`] — the depth-first search loop: Luby-scheduled restarts and
 //!   [`search::WarmStart`] hints from prior solutions,
 //! * [`solver`] — the facade: configuration, `solve`, and `solve_with_hint`
-//!   with incumbent-based objective bounding,
-//! * [`simplex`] / [`lp_relax`] — a dense two-phase simplex and the LP
-//!   relaxation used for root-node bounding.
+//!   with incumbent-based objective bounding.
 //!
 //! ## Example
 //!
@@ -47,11 +45,9 @@
 pub mod brancher;
 pub mod engine;
 pub mod error;
-pub mod lp_relax;
 pub mod model;
 pub mod presolve;
 pub mod search;
-pub mod simplex;
 pub mod solution;
 pub mod solver;
 
@@ -59,11 +55,9 @@ pub mod solver;
 pub mod prelude {
     pub use crate::brancher::{BranchChoice, Brancher, BrancherKind};
     pub use crate::error::IlpError;
-    pub use crate::lp_relax::{lp_objective_bound, lp_relaxation};
     pub use crate::model::{Cmp, Constraint, LinExpr, Model, Objective, Sense, VarDef, VarId};
     pub use crate::presolve::{presolve, PresolveReport};
     pub use crate::search::{luby, WarmStart};
-    pub use crate::simplex::{solve_lp, LpOutcome, LpProblem};
     pub use crate::solution::{SolveResult, SolveStats, SolveStatus};
     pub use crate::solver::{Solver, SolverConfig};
 }

@@ -34,7 +34,6 @@ use std::time::Instant;
 use crate::brancher::{BranchChoice, Brancher};
 use crate::engine::Engine;
 use crate::error::IlpError;
-use crate::lp_relax::lp_objective_bound;
 use crate::model::{Model, Objective, Sense, VarId};
 use crate::solution::{SolveResult, SolveStats, SolveStatus};
 use crate::solver::SolverConfig;
@@ -103,15 +102,12 @@ pub(crate) struct SearchState<'a> {
     deadline: Option<Instant>,
     nodes: u64,
     conflicts: u64,
-    lp_relaxations: u64,
     restarts: u64,
     /// Conflict count at which the current run restarts, if restarts are on.
     conflict_limit: Option<u64>,
     restart_pending: bool,
     incumbent: Option<Vec<i64>>,
     incumbent_objective: Option<i128>,
-    /// Root LP bound on the objective (in maximization orientation).
-    root_bound: Option<f64>,
     aborted: bool,
 }
 
@@ -147,30 +143,18 @@ pub(crate) fn run(
         deadline: config.time_limit.map(|limit| start + limit),
         nodes: 0,
         conflicts: 0,
-        lp_relaxations: 0,
         restarts: 0,
         conflict_limit: None,
         restart_pending: false,
         incumbent: None,
         incumbent_objective: None,
-        root_bound: None,
         aborted: false,
     };
 
     let root_feasible = state.engine.propagate().is_ok();
     if root_feasible {
-        if model.objective().is_some() {
-            if config.use_lp_root_bound
-                && model.num_vars() + model.num_constraints() <= config.lp_size_limit
-            {
-                if let Ok(bound) = lp_objective_bound(model) {
-                    state.root_bound = Some(bound);
-                    state.lp_relaxations += 1;
-                }
-            }
-            if hint_vars > 0 {
-                state.seed_incumbent_from_hint();
-            }
+        if model.objective().is_some() && hint_vars > 0 {
+            state.seed_incumbent_from_hint();
         }
 
         let mut run_index = 1u64;
@@ -204,7 +188,6 @@ pub(crate) fn run(
         nodes: state.nodes,
         propagations: state.engine.propagations,
         conflicts: state.conflicts,
-        lp_relaxations: state.lp_relaxations,
         restarts: state.restarts,
         hint_vars,
         hint_mismatches,
@@ -344,13 +327,6 @@ impl<'a> SearchState<'a> {
             let oriented_best = Self::oriented(objective, best);
             if self.objective_upper_bound(objective) <= oriented_best {
                 return false;
-            }
-            if let Some(root_bound) = self.root_bound {
-                // The root LP bound is global: once the incumbent matches it
-                // the incumbent is optimal.
-                if (oriented_best as f64) >= root_bound - 1e-6 {
-                    return true;
-                }
             }
         }
 

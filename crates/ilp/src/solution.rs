@@ -56,8 +56,6 @@ pub struct SolveStats {
     pub propagations: u64,
     /// Number of conflicts (pruned subtrees).
     pub conflicts: u64,
-    /// Number of LP relaxations solved for bounding.
-    pub lp_relaxations: u64,
     /// Number of times the search restarted from the root.
     pub restarts: u64,
     /// Number of variables covered by the warm-start hint (0 = cold solve).

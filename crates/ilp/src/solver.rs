@@ -8,7 +8,7 @@
 //! member per candidate implicit sort) and let propagation fix everything
 //! else. Models without decision groups fall back to binary/interval
 //! branching, and objective-bearing models are handled with incumbent-based
-//! bounding (plus an optional LP relaxation bound at the root).
+//! bounding.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -27,12 +27,6 @@ pub struct SolverConfig {
     pub time_limit: Option<Duration>,
     /// Limit on the number of explored nodes.
     pub node_limit: Option<u64>,
-    /// Whether to compute an LP-relaxation bound at the root node for
-    /// objective-bearing models (only attempted below [`SolverConfig::lp_size_limit`]).
-    pub use_lp_root_bound: bool,
-    /// Maximum `variables + constraints` for which the dense LP relaxation is
-    /// attempted.
-    pub lp_size_limit: usize,
     /// Stop at the first feasible solution even if an objective is present.
     pub first_solution_only: bool,
     /// Which branching heuristic drives the search. The default
@@ -55,8 +49,6 @@ impl Default for SolverConfig {
         SolverConfig {
             time_limit: None,
             node_limit: None,
-            use_lp_root_bound: true,
-            lp_size_limit: 2_000,
             first_solution_only: false,
             brancher: BrancherKind::InputOrder,
             restart_conflict_base: None,
@@ -198,7 +190,6 @@ mod tests {
         ] {
             let config = SolverConfig {
                 brancher: kind,
-                use_lp_root_bound: false,
                 ..SolverConfig::default()
             };
             let result = Solver::with_config(config).solve(&model).unwrap();
@@ -212,7 +203,6 @@ mod tests {
         let model = knapsack();
         let config = SolverConfig {
             restart_conflict_base: Some(1),
-            use_lp_root_bound: false,
             brancher: BrancherKind::Activity,
             ..SolverConfig::default()
         };
@@ -248,7 +238,6 @@ mod tests {
         model.set_objective(Sense::Maximize, expr);
         let config = SolverConfig {
             node_limit: Some(1),
-            use_lp_root_bound: false,
             ..SolverConfig::default()
         };
         let result = Solver::with_config(config).solve(&model).unwrap();
@@ -267,7 +256,6 @@ mod tests {
         model.set_objective(Sense::Maximize, expr);
         let config = SolverConfig {
             first_solution_only: true,
-            use_lp_root_bound: false,
             ..SolverConfig::default()
         };
         let result = Solver::with_config(config).solve(&model).unwrap();
@@ -287,19 +275,13 @@ mod tests {
     #[test]
     fn exact_hint_is_followed_without_conflicts() {
         let model = knapsack();
-        let config = SolverConfig {
-            use_lp_root_bound: false,
-            ..SolverConfig::default()
-        };
         let hint = WarmStart::from_values(vec![
             (VarId(0), 1),
             (VarId(1), 1),
             (VarId(2), 0),
             (VarId(3), 0),
         ]);
-        let result = Solver::with_config(config)
-            .solve_with_hint(&model, Some(&hint))
-            .unwrap();
+        let result = Solver::new().solve_with_hint(&model, Some(&hint)).unwrap();
         assert_eq!(result.status, SolveStatus::Optimal);
         assert_eq!(result.objective, Some(7));
         assert_eq!(result.stats.hint_vars, 4);
@@ -309,17 +291,11 @@ mod tests {
     #[test]
     fn stale_hint_is_repaired_to_the_same_optimum() {
         let model = knapsack();
-        let config = SolverConfig {
-            use_lp_root_bound: false,
-            ..SolverConfig::default()
-        };
         // Item 3 alone (value 6) is feasible but suboptimal, and hinting
         // items 2+3 (weight 9) is outright infeasible: the search must
         // repair the hint and still prove value 7 optimal.
         let hint = WarmStart::from_values(vec![(VarId(2), 1), (VarId(3), 1)]);
-        let result = Solver::with_config(config)
-            .solve_with_hint(&model, Some(&hint))
-            .unwrap();
+        let result = Solver::new().solve_with_hint(&model, Some(&hint)).unwrap();
         assert_eq!(result.status, SolveStatus::Optimal);
         assert_eq!(result.objective, Some(7));
         assert_eq!(result.stats.hint_vars, 2);
@@ -348,7 +324,6 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(true));
         let config = SolverConfig {
             stop: Some(stop),
-            use_lp_root_bound: false,
             ..SolverConfig::default()
         };
         let result = Solver::with_config(config).solve(&model).unwrap();

@@ -122,18 +122,6 @@ proptest! {
         }
     }
 
-    /// The LP relaxation bound is a true upper bound on the integer optimum.
-    #[test]
-    fn lp_bound_dominates_integer_optimum(description in random_model_strategy()) {
-        let model = build_model(&description);
-        if model.objective().is_none() {
-            return Ok(());
-        }
-        let Some(best) = brute_force(&model) else { return Ok(()) };
-        let bound = lp_objective_bound(&model).unwrap();
-        prop_assert!(bound >= best as f64 - 1e-6, "bound {bound} < optimum {best}");
-    }
-
     /// Decision groups are only a branching hint: adding them (together with
     /// their exactly-one constraints already present) never changes the answer.
     #[test]

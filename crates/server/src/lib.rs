@@ -112,11 +112,10 @@
 //! handle.wait();
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the kernel
-// readiness backends' direct syscall bindings (`poller::sys` — epoll,
-// eventfd, and the io_uring ring plumbing shared by both the epoll and
-// uring backends), which carries its own `#[allow(unsafe_code)]` plus
-// per-call SAFETY notes. Everything else in the crate stays safe Rust.
+// `deny`, not `forbid`: the one sanctioned exception is the epoll
+// backend's direct syscall bindings (`poller::sys` — epoll and eventfd),
+// which carries its own `#[allow(unsafe_code)]` plus per-call SAFETY
+// notes. Everything else in the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

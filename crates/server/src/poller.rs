@@ -4,15 +4,8 @@
 //! non-blocking socket and needs exactly one primitive from the platform:
 //! *which file descriptors are ready for the I/O I care about, and wake me
 //! early when a compute-pool completion lands*. This module puts that
-//! primitive behind the [`Poller`] trait and ships three implementations:
+//! primitive behind the [`Poller`] trait and ships two implementations:
 //!
-//! * [`UringPoller`] (Linux 5.1+) — kernel readiness via io_uring in poll
-//!   mode: interest changes are 64-byte submission-queue entries, so N
-//!   registrations/modifications per loop round cost *one* `io_uring_enter`
-//!   (bundled with the wait itself) instead of N `epoll_ctl` round trips,
-//!   and wait deadlines carry native nanosecond precision. Multishot
-//!   `POLL_ADD` where the kernel supports it (5.13+), one-shot re-arming
-//!   otherwise. See [`uring`] for the mechanics.
 //! * [`EpollPoller`] (Linux) — a real kernel readiness queue built on
 //!   direct `extern "C"` bindings to `epoll_create1`/`epoll_ctl`/
 //!   `epoll_wait` plus an `eventfd` [`Waker`]. No external crates: the
@@ -25,17 +18,16 @@
 //!   timeout (50 µs → 2 ms) and then reports *every* registered fd as
 //!   ready per its interest set. Readiness is speculative — the caller
 //!   discovers the truth via `WouldBlock` — which is exactly the contract
-//!   the event loop's pump paths were built on.
+//!   the event loop's pump paths were built on. It is the only backend off
+//!   Linux and the reference model of the contract suite.
 //!
-//! The backend is picked at runtime (`serve --poller uring|epoll|scan`, or
+//! The backend is picked at runtime (`serve --poller epoll|scan|auto`, or
 //! the `STRUDEL_POLLER` environment override the conformance matrix uses);
-//! [`PollerKind::resolve`] auto-detects the best supported backend — uring
-//! where a startup probe confirms the kernel cooperates (old kernels and
-//! seccomp'd CI sandboxes fail the probe and silently get epoll; an
-//! *explicit* `--poller uring` on such a kernel is a hard error instead).
-//! All backends are driven through the same loop and proven behaviorally
-//! identical by the backend-parameterized e2e suites (see `tests/poller.rs`
-//! for the contract tests of this module itself).
+//! [`PollerKind::resolve`] auto-detects the best supported backend — epoll
+//! on Linux, scan elsewhere (an *explicit* `--poller epoll` off Linux is a
+//! hard error instead). Both backends are driven through the same loop and
+//! proven behaviorally identical by the backend-parameterized e2e suites
+//! (see `tests/poller.rs` for the contract tests of this module itself).
 //!
 //! ## The contract
 //!
@@ -56,25 +48,15 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
 use std::time::Duration;
 
-/// Direct syscall bindings (epoll, eventfd, io_uring): the one sanctioned
-/// `unsafe` module in the crate — see `lib.rs`. Exposes generic SQE/CQE
-/// plumbing, not poll-op-specific helpers, so the follow-on
-/// completion-mode rung (submission-queue reads/writes) builds on the
-/// same surface.
+/// Direct syscall bindings (epoll, eventfd): the one sanctioned `unsafe`
+/// module in the crate — see `lib.rs`.
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod sys;
-
-/// The io_uring readiness backend (safe code over [`sys`]).
-#[cfg(target_os = "linux")]
-mod uring;
-
-#[cfg(target_os = "linux")]
-pub use uring::UringPoller;
 
 /// A file descriptor as the poller sees it (`c_int` on every Unix). The
 /// scan backend never dereferences it, so non-Unix builds can pass 0.
@@ -168,15 +150,6 @@ pub trait Poller: Send {
     /// `timeout` (`None` means until an event or a wake; the scan backend
     /// caps that at [`MAX_PARK`] since its readiness is clock-driven).
     fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
-    /// Submission seam, called once per event-loop round after all of the
-    /// round's interest changes: backends that queue changes (uring) may
-    /// push them to the kernel here if their queue is filling; backends
-    /// that apply changes eagerly (epoll, scan) need nothing and inherit
-    /// this no-op. `wait` always flushes whatever is still queued, so
-    /// skipping this call affects batching, not correctness.
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
     /// A cross-thread wake handle tied to this poller.
     fn waker(&self) -> Arc<dyn Waker>;
 }
@@ -198,11 +171,9 @@ pub struct PollerCounters {
     /// Currently registered fds (listener + live connections).
     pub registered: AtomicU64,
     /// Kernel entries the backend performed for readiness work: every
-    /// `epoll_ctl` + `epoll_wait` on the epoll backend, every
-    /// `io_uring_enter` on the uring backend (whose batching is exactly
-    /// what makes this number smaller), zero on the scan backend. Waker
-    /// eventfd writes from other threads are excluded — the counter
-    /// prices the loop thread's syscall burn, which is what
+    /// `epoll_ctl` + `epoll_wait` on the epoll backend, zero on the scan
+    /// backend. Waker eventfd writes from other threads are excluded — the
+    /// counter prices the loop thread's syscall burn, which is what
     /// syscalls-per-request benchmarks divide by.
     pub syscalls: AtomicU64,
 }
@@ -243,50 +214,25 @@ impl PollerCounters {
 /// `STRUDEL_POLLER` environment variable both parse into this.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PollerKind {
-    /// Kernel readiness via io_uring poll submissions (Linux 5.1+).
-    Uring,
     /// Kernel readiness via epoll (Linux only).
     Epoll,
     /// Portable full-scan/park emulation (the pre-epoll event loop).
     Scan,
 }
 
-/// Whether this kernel actually runs io_uring, probed once per process:
-/// sets up a tiny ring *and* enters it, because a seccomp profile may
-/// permit `io_uring_setup` while blocking `io_uring_enter` (or deny both
-/// with `EPERM`/`ENOSYS`). Old kernels fail the setup. Either way the
-/// answer is cached and `auto` quietly picks epoll.
-#[cfg(target_os = "linux")]
-fn uring_supported() -> bool {
-    static PROBE: OnceLock<bool> = OnceLock::new();
-    *PROBE.get_or_init(|| sys::uring_probe().is_ok())
-}
-
-#[cfg(not(target_os = "linux"))]
-fn uring_supported() -> bool {
-    false
-}
-
 impl PollerKind {
-    /// The backend name (`"uring"` / `"epoll"` / `"scan"`).
+    /// The backend name (`"epoll"` / `"scan"`).
     pub fn name(self) -> &'static str {
         match self {
-            PollerKind::Uring => "uring",
             PollerKind::Epoll => "epoll",
             PollerKind::Scan => "scan",
         }
     }
 
-    /// The backends this platform can actually run, best first. Uring
-    /// leads only when the startup probe proves the kernel cooperates, so
-    /// `auto` never errors on an old kernel or a seccomp'd CI sandbox.
+    /// The backends this platform can actually run, best first.
     pub fn available() -> Vec<PollerKind> {
         if cfg!(target_os = "linux") {
-            if uring_supported() {
-                vec![PollerKind::Uring, PollerKind::Epoll, PollerKind::Scan]
-            } else {
-                vec![PollerKind::Epoll, PollerKind::Scan]
-            }
+            vec![PollerKind::Epoll, PollerKind::Scan]
         } else {
             vec![PollerKind::Scan]
         }
@@ -295,12 +241,10 @@ impl PollerKind {
     /// Resolves the backend to run: an explicit configuration wins, then
     /// the `STRUDEL_POLLER` environment override (how the CI conformance
     /// matrix forces each backend through every suite), then platform
-    /// auto-detection (uring where probed, epoll on other Linux, scan
-    /// elsewhere). A malformed override is an error, not a silent
-    /// fallback — a typo in the matrix must not fake coverage — but an
-    /// override naming a backend this *kernel* cannot run falls back
-    /// loudly: the same matrix file runs on io_uring-capable and
-    /// incapable hosts, and only the host knows which it is.
+    /// auto-detection (epoll on Linux, scan elsewhere). A malformed
+    /// override is an error, not a silent fallback — a typo in the matrix
+    /// must not fake coverage — but an override naming a backend this
+    /// *platform* cannot run (epoll off Linux) falls back loudly.
     pub fn resolve(configured: Option<PollerKind>) -> io::Result<PollerKind> {
         if let Some(kind) = configured {
             return Ok(kind);
@@ -316,7 +260,7 @@ impl PollerKind {
                 if !PollerKind::available().contains(&kind) {
                     let fallback = *PollerKind::available().first().expect("scan always exists");
                     eprintln!(
-                        "strudel: STRUDEL_POLLER={} is not supported on this kernel; \
+                        "strudel: STRUDEL_POLLER={} is not supported on this platform; \
                          falling back to {fallback}",
                         kind.name()
                     );
@@ -334,12 +278,11 @@ impl std::str::FromStr for PollerKind {
 
     fn from_str(text: &str) -> Result<Self, Self::Err> {
         match text.trim().to_ascii_lowercase().as_str() {
-            "uring" => Ok(PollerKind::Uring),
             "epoll" => Ok(PollerKind::Epoll),
             "scan" => Ok(PollerKind::Scan),
             "auto" => Ok(*PollerKind::available().first().expect("scan always exists")),
             other => Err(format!(
-                "unknown poller backend '{other}' (expected uring, epoll, scan, or auto)"
+                "unknown poller backend '{other}' (expected epoll, scan, or auto)"
             )),
         }
     }
@@ -363,13 +306,6 @@ pub fn open(kind: PollerKind, counters: Arc<PollerCounters>) -> io::Result<Box<d
         PollerKind::Epoll => Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "the epoll poller is only available on Linux; use --poller scan",
-        )),
-        #[cfg(target_os = "linux")]
-        PollerKind::Uring => Ok(Box::new(UringPoller::new(counters)?)),
-        #[cfg(not(target_os = "linux"))]
-        PollerKind::Uring => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the uring poller is only available on Linux; use --poller scan",
         )),
     }
 }
@@ -536,8 +472,7 @@ impl Poller for ScanPoller {
 }
 
 // ─── Epoll backend (Linux) ──────────────────────────────────────────────
-// (The syscall bindings live in `poller/sys.rs`, shared with the uring
-// backend.)
+// (The syscall bindings live in `poller/sys.rs`.)
 
 /// Kernel readiness on Linux: one epoll instance owns the interest list,
 /// and an `eventfd` registered under [`WAKER_TOKEN`] carries cross-thread
@@ -717,10 +652,14 @@ mod tests {
 
     #[test]
     fn kind_parses_and_resolves() {
-        assert_eq!("uring".parse::<PollerKind>(), Ok(PollerKind::Uring));
         assert_eq!("epoll".parse::<PollerKind>(), Ok(PollerKind::Epoll));
         assert_eq!("Scan".parse::<PollerKind>(), Ok(PollerKind::Scan));
         assert!("kqueue".parse::<PollerKind>().is_err());
+        let refused = "uring".parse::<PollerKind>().unwrap_err();
+        assert!(
+            refused.contains("uring") && refused.contains("epoll, scan, or auto"),
+            "{refused}"
+        );
         let auto = "auto".parse::<PollerKind>().unwrap();
         assert_eq!(auto, *PollerKind::available().first().unwrap());
         // An explicit configuration wins over everything.
@@ -728,11 +667,13 @@ mod tests {
             PollerKind::resolve(Some(PollerKind::Scan)).unwrap(),
             PollerKind::Scan
         );
-        // Scan is unconditional; anything uring-shaped in `available` is
-        // probe-gated, so the list is ordered best-first with scan last.
+        // Best first: epoll on Linux, and scan, which runs everywhere, last.
         let available = PollerKind::available();
+        assert_eq!(
+            available.first() == Some(&PollerKind::Epoll),
+            cfg!(target_os = "linux")
+        );
         assert_eq!(available.last(), Some(&PollerKind::Scan));
-        assert!(available.contains(&PollerKind::Uring) == uring_supported());
     }
 
     #[test]

@@ -1,23 +1,12 @@
-//! Direct syscall bindings of the kernel readiness backends — the one
+//! Direct syscall bindings of the epoll readiness backend — the one
 //! sanctioned `unsafe` module of the crate (see `lib.rs`). The workspace
-//! bans external crates, so both the epoll surface (four syscalls and one
-//! `#[repr(C)]` struct) and the io_uring surface (`io_uring_setup`/
-//! `io_uring_enter` plus the mmap'd submission/completion rings) mirror
+//! bans external crates, so the epoll surface (four syscalls, the
+//! eventfd's `read`/`write`/`close`, and one `#[repr(C)]` struct) mirrors
 //! the kernel ABI by hand; every call site checks the return value and
 //! surfaces `io::Error::last_os_error()`.
-//!
-//! The io_uring half deliberately exposes *generic* SQE/CQE plumbing
-//! ([`UringRing`]: push any [`Sqe`], pop raw [`Cqe`]s) rather than a
-//! poll-op-specific API: the readiness-mode [`super::uring::UringPoller`]
-//! is the first consumer, and the follow-on completion-mode rung
-//! (submission-queue reads/writes) reuses the same ring without touching
-//! this module's `unsafe`.
 
 use std::io;
-use std::os::raw::{c_int, c_long, c_uint, c_void};
-use std::sync::atomic::{AtomicU32, Ordering};
-
-// ─── epoll ──────────────────────────────────────────────────────────────
+use std::os::raw::{c_int, c_uint, c_void};
 
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 pub const EPOLL_CTL_ADD: c_int = 1;
@@ -50,16 +39,6 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
-    fn syscall(num: c_long, ...) -> c_long;
-    fn mmap(
-        addr: *mut c_void,
-        length: usize,
-        prot: c_int,
-        flags: c_int,
-        fd: c_int,
-        offset: i64,
-    ) -> *mut c_void;
-    fn munmap(addr: *mut c_void, length: usize) -> c_int;
 }
 
 pub fn create() -> io::Result<i32> {
@@ -128,356 +107,4 @@ pub fn eventfd_drain(fd: i32) {
 pub fn close_fd(fd: i32) {
     // SAFETY: closing an owned fd; errors at close are unactionable.
     let _ = unsafe { close(fd) };
-}
-
-// ─── io_uring ───────────────────────────────────────────────────────────
-//
-// glibc ships no wrappers for the io_uring syscalls, so they go through
-// the variadic `syscall(2)` entry point; the numbers are uniform across
-// Linux architectures (425/426 were allocated arch-generically).
-
-const SYS_IO_URING_SETUP: c_long = 425;
-const SYS_IO_URING_ENTER: c_long = 426;
-
-const IORING_OFF_SQ_RING: i64 = 0;
-const IORING_OFF_CQ_RING: i64 = 0x800_0000;
-const IORING_OFF_SQES: i64 = 0x1000_0000;
-
-const PROT_READ: c_int = 0x1;
-const PROT_WRITE: c_int = 0x2;
-const MAP_SHARED: c_int = 0x01;
-const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-
-/// `io_uring_enter` flag: block until `min_complete` completions are
-/// reaped (and flush any overflowed completions into the ring).
-pub const IORING_ENTER_GETEVENTS: u32 = 1;
-
-pub const IORING_OP_POLL_ADD: u8 = 6;
-pub const IORING_OP_POLL_REMOVE: u8 = 7;
-pub const IORING_OP_TIMEOUT: u8 = 11;
-pub const IORING_OP_TIMEOUT_REMOVE: u8 = 12;
-
-/// `POLL_ADD` `len` flag: keep the poll armed across completions
-/// (kernel 5.13+; older kernels fail the SQE with `EINVAL`, which the
-/// poller treats as "fall back to one-shot arms").
-pub const IORING_POLL_ADD_MULTI: u32 = 1 << 0;
-/// CQE flag: this multishot arm is still active (more CQEs will come).
-pub const IORING_CQE_F_MORE: u32 = 1 << 1;
-
-// `poll(2)` event bits — what `POLL_ADD` takes and its CQE `res` carries.
-// Numerically identical to the epoll bits for these directions.
-pub const POLLIN: u32 = 0x001;
-pub const POLLOUT: u32 = 0x004;
-pub const POLLERR: u32 = 0x008;
-pub const POLLHUP: u32 = 0x010;
-pub const POLLRDHUP: u32 = 0x2000;
-
-/// A 64-bit `struct __kernel_timespec`, as `IORING_OP_TIMEOUT` reads it.
-#[repr(C)]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Timespec64 {
-    pub tv_sec: i64,
-    pub tv_nsec: i64,
-}
-
-#[repr(C)]
-#[derive(Clone, Copy, Default)]
-struct SqringOffsets {
-    head: u32,
-    tail: u32,
-    ring_mask: u32,
-    ring_entries: u32,
-    flags: u32,
-    dropped: u32,
-    array: u32,
-    resv1: u32,
-    user_addr: u64,
-}
-
-#[repr(C)]
-#[derive(Clone, Copy, Default)]
-struct CqringOffsets {
-    head: u32,
-    tail: u32,
-    ring_mask: u32,
-    ring_entries: u32,
-    overflow: u32,
-    cqes: u32,
-    flags: u32,
-    resv1: u32,
-    user_addr: u64,
-}
-
-/// `struct io_uring_params`: filled by `io_uring_setup` with the ring
-/// geometry and the field offsets inside the two mmap'd ring regions.
-#[repr(C)]
-#[derive(Clone, Copy, Default)]
-struct UringParams {
-    sq_entries: u32,
-    cq_entries: u32,
-    flags: u32,
-    sq_thread_cpu: u32,
-    sq_thread_idle: u32,
-    features: u32,
-    wq_fd: u32,
-    resv: [u32; 3],
-    sq_off: SqringOffsets,
-    cq_off: CqringOffsets,
-}
-
-/// A 64-byte submission-queue entry, generic over opcodes: the readiness
-/// poller fills `opcode`/`fd`/`op_flags` (poll mask), the completion-mode
-/// follow-on will fill `addr`/`len`/`off` for reads and writes.
-#[repr(C)]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Sqe {
-    pub opcode: u8,
-    pub flags: u8,
-    pub ioprio: u16,
-    pub fd: i32,
-    pub off: u64,
-    pub addr: u64,
-    pub len: u32,
-    /// The per-op flags union (`poll32_events` for `POLL_ADD`,
-    /// `timeout_flags` for `TIMEOUT`, …). Little-endian layout; the
-    /// kernel documents a half-word swap for poll events on big-endian,
-    /// which no supported target of this workspace hits.
-    pub op_flags: u32,
-    pub user_data: u64,
-    pub buf_index: u16,
-    pub personality: u16,
-    pub splice_fd_in: i32,
-    pub addr3: u64,
-    pub pad2: u64,
-}
-
-/// A 16-byte completion-queue entry.
-#[repr(C)]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Cqe {
-    pub user_data: u64,
-    /// Result: the readiness mask for polls, `-errno` on failure.
-    pub res: i32,
-    pub flags: u32,
-}
-
-/// One mmap'd region, unmapped on drop.
-struct MmapRegion {
-    ptr: *mut c_void,
-    len: usize,
-}
-
-impl MmapRegion {
-    fn map(fd: c_int, len: usize, offset: i64) -> io::Result<MmapRegion> {
-        // SAFETY: a fresh shared mapping of the ring fd at a
-        // kernel-defined offset; failure is the sentinel, checked below.
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED,
-                fd,
-                offset,
-            )
-        };
-        if ptr == MAP_FAILED {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(MmapRegion { ptr, len })
-    }
-
-    /// A typed pointer `byte_offset` bytes into the region.
-    fn at<T>(&self, byte_offset: u32) -> *mut T {
-        // SAFETY: offsets come from the kernel's own params for this
-        // mapping, so they stay in bounds.
-        unsafe { self.ptr.cast::<u8>().add(byte_offset as usize).cast::<T>() }
-    }
-
-    fn atomic_u32(&self, byte_offset: u32) -> &AtomicU32 {
-        // SAFETY: the offset is kernel-provided and 4-aligned; the shared
-        // mapping outlives the borrow (it lives as long as `self`).
-        unsafe { &*self.at::<AtomicU32>(byte_offset) }
-    }
-}
-
-impl Drop for MmapRegion {
-    fn drop(&mut self) {
-        // SAFETY: unmapping a mapping this struct owns.
-        let _ = unsafe { munmap(self.ptr, self.len) };
-    }
-}
-
-/// An io_uring instance: the ring fd plus its three mmap'd regions, with
-/// safe submit/reap methods — the only way the rest of the crate touches
-/// the ring. Single-threaded by design (the event loop owns it); the
-/// `Send` impl below covers moving it into the loop thread.
-pub struct UringRing {
-    fd: c_int,
-    sq_ring: MmapRegion,
-    cq_ring: MmapRegion,
-    sqes: MmapRegion,
-    sq_head_off: u32,
-    sq_tail_off: u32,
-    sq_array_off: u32,
-    sq_mask: u32,
-    sq_entries: u32,
-    cq_head_off: u32,
-    cq_tail_off: u32,
-    cq_cqes_off: u32,
-    cq_mask: u32,
-    /// Our private copy of the SQ tail (published to the shared ring with
-    /// a release store per push).
-    tail: u32,
-}
-
-// SAFETY: the ring is owned by exactly one thread at a time (the event
-// loop takes it by move); the raw mmap pointers carry no thread affinity,
-// and all kernel-shared indices are accessed through atomics.
-#[allow(unsafe_code)]
-unsafe impl Send for UringRing {}
-
-impl UringRing {
-    /// Creates a ring with (at least) `entries` SQ slots; the kernel
-    /// rounds up to a power of two and sizes the CQ at twice that.
-    pub fn new(entries: u32) -> io::Result<UringRing> {
-        let mut params = UringParams::default();
-        // SAFETY: `params` outlives the call; the kernel fills it.
-        let fd = unsafe { syscall(SYS_IO_URING_SETUP, entries, &mut params as *mut UringParams) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fd = fd as c_int;
-        // The legacy two-region layout works on every io_uring kernel,
-        // including those advertising FEAT_SINGLE_MMAP.
-        let sq_len = params.sq_off.array as usize + params.sq_entries as usize * 4;
-        let cq_len = params.cq_off.cqes as usize + params.cq_entries as usize * 16;
-        let build = || -> io::Result<(MmapRegion, MmapRegion, MmapRegion)> {
-            let sq_ring = MmapRegion::map(fd, sq_len, IORING_OFF_SQ_RING)?;
-            let cq_ring = MmapRegion::map(fd, cq_len, IORING_OFF_CQ_RING)?;
-            let sqes = MmapRegion::map(
-                fd,
-                params.sq_entries as usize * std::mem::size_of::<Sqe>(),
-                IORING_OFF_SQES,
-            )?;
-            Ok((sq_ring, cq_ring, sqes))
-        };
-        let (sq_ring, cq_ring, sqes) = match build() {
-            Ok(regions) => regions,
-            Err(err) => {
-                close_fd(fd);
-                return Err(err);
-            }
-        };
-        // The params carry the masks' *offsets* into the mapped regions;
-        // resolve the mask values now that the regions exist.
-        let sq_mask = sq_ring
-            .atomic_u32(params.sq_off.ring_mask)
-            .load(Ordering::Relaxed);
-        let cq_mask = cq_ring
-            .atomic_u32(params.cq_off.ring_mask)
-            .load(Ordering::Relaxed);
-        Ok(UringRing {
-            fd,
-            sq_head_off: params.sq_off.head,
-            sq_tail_off: params.sq_off.tail,
-            sq_array_off: params.sq_off.array,
-            sq_mask,
-            sq_entries: params.sq_entries,
-            cq_head_off: params.cq_off.head,
-            cq_tail_off: params.cq_off.tail,
-            cq_cqes_off: params.cq_off.cqes,
-            cq_mask,
-            tail: 0,
-            sq_ring,
-            cq_ring,
-            sqes,
-        })
-    }
-
-    /// SQ slots the kernel has not yet consumed.
-    pub fn pending(&self) -> u32 {
-        let head = self
-            .sq_ring
-            .atomic_u32(self.sq_head_off)
-            .load(Ordering::Acquire);
-        self.tail.wrapping_sub(head)
-    }
-
-    /// Queues one SQE without entering the kernel. Returns `false` when
-    /// the submission ring is full (the caller must `enter` to drain it).
-    pub fn push(&mut self, sqe: Sqe) -> bool {
-        if self.pending() >= self.sq_entries {
-            return false;
-        }
-        let idx = self.tail & self.sq_mask;
-        // SAFETY: `idx` is masked into the ring, both regions are live,
-        // and the kernel only reads entries at or past the published tail
-        // after the release store below.
-        unsafe {
-            *self.sqes.at::<Sqe>(0).add(idx as usize) = sqe;
-            *self.sq_ring.at::<u32>(self.sq_array_off).add(idx as usize) = idx;
-        }
-        self.tail = self.tail.wrapping_add(1);
-        self.sq_ring
-            .atomic_u32(self.sq_tail_off)
-            .store(self.tail, Ordering::Release);
-        true
-    }
-
-    /// `io_uring_enter`: submits every queued SQE and, with
-    /// [`IORING_ENTER_GETEVENTS`], blocks until `min_complete`
-    /// completions are available. Returns the number of SQEs consumed.
-    pub fn enter(&self, to_submit: u32, min_complete: u32, flags: u32) -> io::Result<u32> {
-        // SAFETY: no pointers beyond the null sigset; the fd is owned.
-        let rc = unsafe {
-            syscall(
-                SYS_IO_URING_ENTER,
-                self.fd,
-                to_submit,
-                min_complete,
-                flags,
-                std::ptr::null::<c_void>(),
-                0usize,
-            )
-        };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(rc as u32)
-    }
-
-    /// Pops one completion, if any is ready.
-    pub fn pop(&mut self) -> Option<Cqe> {
-        let head_slot = self.cq_ring.atomic_u32(self.cq_head_off);
-        let head = head_slot.load(Ordering::Relaxed);
-        let tail = self
-            .cq_ring
-            .atomic_u32(self.cq_tail_off)
-            .load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let idx = head & self.cq_mask;
-        // SAFETY: `idx` is masked into the CQE array of the live mapping;
-        // the acquire load of the tail ordered the kernel's writes.
-        let cqe = unsafe { *self.cq_ring.at::<Cqe>(self.cq_cqes_off).add(idx as usize) };
-        head_slot.store(head.wrapping_add(1), Ordering::Release);
-        Some(cqe)
-    }
-}
-
-impl Drop for UringRing {
-    fn drop(&mut self) {
-        close_fd(self.fd);
-    }
-}
-
-/// Probes whether this kernel (and seccomp profile) can run io_uring:
-/// sets up a tiny ring *and* enters it once, since hardened sandboxes
-/// sometimes allow `io_uring_setup` but refuse `io_uring_enter`.
-pub fn uring_probe() -> io::Result<()> {
-    let ring = UringRing::new(4)?;
-    ring.enter(0, 0, 0)?;
-    Ok(())
 }

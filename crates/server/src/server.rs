@@ -1539,13 +1539,6 @@ impl EventLoop {
             self.reap(&touched);
             touched.clear();
             self.touched = touched; // hand the allocation back
-
-            // The round's interest changes are all in: backends that
-            // batch them (uring) get one chance to submit before the
-            // wait, so N changes cost one kernel entry, not N.
-            if let Err(err) = self.poller.flush() {
-                eprintln!("strudel-server: poller flush failed: {err}");
-            }
             if self.stopping && self.drained() {
                 break;
             }

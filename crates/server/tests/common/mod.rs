@@ -16,10 +16,8 @@ use strudel_server::prelude::PollerKind;
 /// The poller backends this run should cover: the `STRUDEL_POLLER`
 /// override alone when set (panicking on a typo rather than silently
 /// faking coverage), otherwise every backend the platform offers. An
-/// override naming a real backend this *kernel* cannot run (uring on a
-/// pre-5.1 or seccomp'd host) skips with a logged reason instead of
-/// failing: the CI matrix file is shared across hosts, and only the host
-/// knows whether the probe passes.
+/// override naming a real backend this *platform* cannot run (epoll off
+/// Linux) skips with a logged reason instead of failing.
 pub fn backends() -> Vec<PollerKind> {
     match std::env::var("STRUDEL_POLLER") {
         Ok(value) => {
@@ -27,10 +25,7 @@ pub fn backends() -> Vec<PollerKind> {
                 .parse()
                 .unwrap_or_else(|err| panic!("STRUDEL_POLLER: {err}"));
             if !PollerKind::available().contains(&kind) {
-                eprintln!(
-                    "skipping: STRUDEL_POLLER={kind} is not supported on this kernel \
-                     (io_uring probe failed or non-Linux platform)"
-                );
+                eprintln!("skipping: STRUDEL_POLLER={kind} is not supported on this platform");
                 return Vec::new();
             }
             vec![kind]

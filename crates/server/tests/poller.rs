@@ -3,10 +3,10 @@
 //! bookkeeping under churn (property-tested with the workspace's seeded
 //! RNG — no wall-clock randomness), waker delivery and coalescing,
 //! deregistration (a deregistered fd's token is never reported again,
-//! even permanently-readable EOF'd sockets), and the kernel backends'
-//! (epoll, uring) sharper guarantees — real timeouts that round *up*
-//! rather than busy-loop, no spurious readiness, and edge-adjusted WRITE
-//! interest (the mechanism behind the flush-starvation fix).
+//! even permanently-readable EOF'd sockets), and the epoll backend's
+//! sharper guarantees — real timeouts that round *up* rather than
+//! busy-loop, no spurious readiness, and edge-adjusted WRITE interest
+//! (the mechanism behind the flush-starvation fix).
 //!
 //! The contract deliberately allows *spurious* readiness (the scan
 //! backend reports every registered fd each sweep) but never *lost*
@@ -286,39 +286,24 @@ fn registration_bookkeeping_survives_churn() {
     });
 }
 
-// ─── kernel backends: the sharper guarantees of real readiness ──────────
-// (epoll and uring; the scan backend's readiness is speculative and
-// clock-driven, so none of these hold for it)
+// ─── kernel backend: the sharper guarantees of real readiness ───────────
+// (the scan backend's readiness is speculative and clock-driven, so none
+// of these hold for it)
 
-/// Runs the body once per *kernel* readiness backend this run covers —
-/// epoll and uring, each skipped with a logged reason when the platform
-/// (non-Linux), the kernel (no io_uring), or a narrowed `STRUDEL_POLLER`
-/// matrix leg excludes it.
-fn with_kernel_backends(body: impl Fn(PollerKind)) {
-    if !cfg!(target_os = "linux") {
-        eprintln!("skipping: kernel readiness backends require Linux");
+/// Runs the body against the epoll backend when this run covers it —
+/// skipped with a logged reason when the platform (non-Linux) or a
+/// narrowed `STRUDEL_POLLER` matrix leg excludes it.
+fn with_epoll(body: impl Fn(PollerKind)) {
+    if !common::backends().contains(&PollerKind::Epoll) {
+        eprintln!("skipping: this run does not cover epoll (non-Linux, or STRUDEL_POLLER)");
         return;
     }
-    let covered = common::backends();
-    for kind in [PollerKind::Epoll, PollerKind::Uring] {
-        if !covered.contains(&kind) {
-            // Either STRUDEL_POLLER narrowed the matrix to another
-            // backend, or (uring) the kernel failed the io_uring probe.
-            if kind == PollerKind::Uring && !PollerKind::available().contains(&kind) {
-                eprintln!("skipping {kind}: this kernel fails the io_uring probe");
-            } else {
-                eprintln!("skipping {kind}: STRUDEL_POLLER excludes it");
-            }
-            continue;
-        }
-        eprintln!("kernel backend: {kind}");
-        body(kind);
-    }
+    body(PollerKind::Epoll);
 }
 
 #[test]
 fn kernel_timeouts_expire_without_inventing_events() {
-    with_kernel_backends(|kind| {
+    with_epoll(|kind| {
         let (server, _client) = tcp_pair(); // open but silent
         let (mut poller, counters) = open_backend(kind);
         poller
@@ -350,7 +335,7 @@ fn kernel_timeouts_expire_without_inventing_events() {
 
 #[test]
 fn kernel_write_interest_is_edge_adjusted_as_the_peer_drains() {
-    with_kernel_backends(|kind| {
+    with_epoll(|kind| {
         let (server, mut client) = tcp_pair();
         let (mut poller, _) = open_backend(kind);
 
@@ -408,7 +393,7 @@ fn kernel_write_interest_is_edge_adjusted_as_the_peer_drains() {
 
 #[test]
 fn kernel_an_idle_poller_blocks_instead_of_sweeping() {
-    with_kernel_backends(|kind| {
+    with_epoll(|kind| {
         let (server, _client) = tcp_pair();
         let (mut poller, counters) = open_backend(kind);
         poller
@@ -431,7 +416,7 @@ fn kernel_an_idle_poller_blocks_instead_of_sweeping() {
 
 #[test]
 fn kernel_sub_millisecond_deadlines_do_not_busy_loop() {
-    with_kernel_backends(|kind| {
+    with_epoll(|kind| {
         let (server, _client) = tcp_pair(); // open but silent
         let (mut poller, counters) = open_backend(kind);
         poller
@@ -442,8 +427,7 @@ fn kernel_sub_millisecond_deadlines_do_not_busy_loop() {
         // `run` recomputes `next_timeout`. A backend that truncated the
         // sub-millisecond remainder to 0 ms would return instantly every
         // round and spin through hundreds of waits before the deadline
-        // passes; rounding up (epoll) or native nanosecond timespecs
-        // (uring) bound it to a handful.
+        // passes; rounding up bounds it to a handful.
         let deadline = Instant::now() + Duration::from_micros(500);
         let mut events = Vec::new();
         loop {
@@ -463,66 +447,4 @@ fn kernel_sub_millisecond_deadlines_do_not_busy_loop() {
              the timeout is being rounded down into a busy-loop"
         );
     });
-}
-
-/// The uring backend's raison d'être: interest changes are queued as
-/// SQEs and ride the next `wait`'s `io_uring_enter`, so a round of N
-/// registrations costs one syscall — visible through the `syscalls`
-/// counter, which prices every kernel entry the loop thread makes.
-#[test]
-fn uring_batches_interest_changes_into_one_enter() {
-    if !PollerKind::available().contains(&PollerKind::Uring) {
-        eprintln!("skipping: this kernel fails the io_uring probe (or non-Linux)");
-        return;
-    }
-    if !common::backends().contains(&PollerKind::Uring) {
-        eprintln!("skipping: STRUDEL_POLLER excludes uring");
-        return;
-    }
-    let pairs: Vec<(TcpStream, TcpStream)> = (0..8).map(|_| tcp_pair()).collect();
-    let (mut poller, counters) = open_backend(PollerKind::Uring);
-    for (token, (server, _)) in pairs.iter().enumerate() {
-        poller
-            .register(fd_of(server), token as u64, Interest::READ)
-            .expect("register");
-        poller
-            .modify(fd_of(server), token as u64, Interest::READ_WRITE)
-            .expect("modify");
-    }
-    // 8 registrations + 8 modifications: all still queued client-side.
-    assert_eq!(
-        counters.stats("uring").syscalls,
-        0,
-        "interest changes must queue, not enter the kernel one by one"
-    );
-    poller.flush().expect("flush");
-    let after_flush = counters.stats("uring").syscalls;
-    assert!(
-        after_flush <= 1,
-        "a half-empty submission queue needs no early flush (got {after_flush})"
-    );
-    // The wait's single enter submits everything and reports readiness:
-    // every socket's send buffer is empty, so every token turns up
-    // writable across (few) rounds.
-    let mut seen = std::collections::HashSet::new();
-    let began = Instant::now();
-    let mut events = Vec::new();
-    while seen.len() < pairs.len() && began.elapsed() < Duration::from_secs(2) {
-        poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
-            .expect("wait");
-        for event in &events {
-            assert!(event.writable, "{event:?}");
-            seen.insert(event.token);
-        }
-    }
-    assert_eq!(seen.len(), pairs.len(), "all fds report: {seen:?}");
-    let stats = counters.stats("uring");
-    assert!(
-        stats.syscalls < 16 + stats.waits,
-        "16 interest changes must not cost 16 enters \
-         (syscalls {} vs waits {})",
-        stats.syscalls,
-        stats.waits
-    );
 }
