@@ -2,9 +2,8 @@
 //! hits, single requests vs batch envelopes, coalesced bursts, and warm
 //! starts from the persistent segment — over real TCP on localhost.
 //!
-//! Pure std (`harness = false`): the Criterion benchmarks of this crate need
-//! an external dependency unavailable in offline builds, so this harness
-//! times with `Instant` and prints a small table. Run with:
+//! Pure std (`harness = false`): the harness times with `Instant` and
+//! prints a small table. Run with:
 //!
 //! ```text
 //! cargo bench -p strudel-bench --bench bench_server
@@ -1314,7 +1313,7 @@ fn main() {
     // runs with tracing off (`--trace-sample 0`) and at 1/64 sampling,
     // legs alternated across rounds so drift hits both equally, taking
     // each leg's best round. Asserted: the traced leg keeps at least 95%
-    // of the untraced throughput (the PR's ≤ 5% overhead criterion).
+    // of the untraced throughput (at most 5% overhead).
     const OBSERVE_CACHED: usize = 2000;
     const OBSERVE_BATCH: usize = 50;
     const OBSERVE_ROUNDS: usize = 3;

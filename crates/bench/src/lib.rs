@@ -12,11 +12,10 @@
 //! * [`budget`] — effort budgets (quick vs full).
 //! * [`fitting`] — the least-squares fits used by the scalability figure.
 //!
-//! The Criterion micro-benchmarks under `benches/` cover the same ground at
-//! fixed, small instance sizes so that `cargo bench` finishes in minutes:
-//! structuredness evaluation, ILP encoding + solving, the two search
-//! strategies, the dependency analysis, the scalability sweep, and engine /
-//! symmetry-breaking ablations.
+//! The one bench, `benches/bench_server.rs`, measures the refinement
+//! service (`cargo bench -p strudel-bench --bench bench_server`); the
+//! per-layer cost of the paper's pipeline is timed by the separate
+//! `perfbench` package at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

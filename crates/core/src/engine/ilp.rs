@@ -29,8 +29,6 @@ pub struct IlpEngineConfig {
     pub time_limit: Option<Duration>,
     /// Node limit per instance.
     pub node_limit: Option<u64>,
-    /// Whether to run presolve on the encoded model before solving.
-    pub presolve: bool,
     /// Branching heuristic for the solver.
     pub brancher: BrancherKind,
     /// Luby restart base in conflicts; `None` disables restarts.
@@ -46,7 +44,6 @@ impl Default for IlpEngineConfig {
             encoding: EncodingConfig::default(),
             time_limit: None,
             node_limit: None,
-            presolve: true,
             brancher: BrancherKind::InputOrder,
             restart_conflict_base: None,
             stop: None,
@@ -181,9 +178,7 @@ impl IlpEngine {
     ) -> Result<(RefineOutcome, SolveStats), RefineError> {
         let encoding = encode_with_table(view, table, k, theta, &self.config.encoding)?;
         let mut model = encoding.model.clone();
-        if self.config.presolve {
-            presolve(&mut model);
-        }
+        presolve(&mut model);
         let warm = hint.and_then(|hint| self.warm_start_for(&encoding, view, hint));
         let solver = Solver::with_config(SolverConfig {
             time_limit: self.config.time_limit,

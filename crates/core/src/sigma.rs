@@ -12,7 +12,7 @@ use std::fmt;
 use strudel_rdf::signature::SignatureView;
 use strudel_rules::builtin;
 use strudel_rules::error::{EvalError, RuleError};
-use strudel_rules::eval::{EvalConfig, Evaluator};
+use strudel_rules::eval::Evaluator;
 use strudel_rules::parser::parse_rule;
 use strudel_rules::prelude::{Ratio, Rule};
 
@@ -109,19 +109,6 @@ impl SigmaSpec {
                 Ok(Self::pairwise(view, p1, p2, builtin::sigma_dep_disjunctive))
             }
             SigmaSpec::Custom(rule) => Evaluator::new(view).sigma(rule),
-        }
-    }
-
-    /// Evaluates with an explicit evaluator configuration (budget control for
-    /// custom rules; closed forms ignore the configuration).
-    pub fn evaluate_with_config(
-        &self,
-        view: &SignatureView,
-        config: &EvalConfig,
-    ) -> Result<Ratio, EvalError> {
-        match self {
-            SigmaSpec::Custom(rule) => Evaluator::with_config(view, config.clone()).sigma(rule),
-            _ => self.evaluate(view),
         }
     }
 

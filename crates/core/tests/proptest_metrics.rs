@@ -10,10 +10,8 @@
 //!   quantile is never below the true order statistic and at most
 //!   `1/SUB_BUCKETS` (12.5%) above it, capped at the observed maximum.
 //!
-//! Uses the workspace's seeded xoshiro generator (`strudel_rdf::rng`)
-//! rather than the external `proptest` crate, so it runs in offline
-//! builds; failures print the seed, and re-running with that seed
-//! reproduces them.
+//! Uses the workspace's seeded xoshiro generator (`strudel_rdf::rng`);
+//! failures print the seed, and re-running with that seed reproduces them.
 
 use strudel_core::metrics::{
     bucket_index, bucket_upper_bound, HistogramSnapshot, LatencyHistogram, SUB_BUCKETS,

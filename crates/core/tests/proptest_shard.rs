@@ -10,10 +10,8 @@
 //!   keys the new shard takes over — roughly `1/(n+1)` of them, and every
 //!   moved key moves *to* the new shard, never between old ones.
 //!
-//! Uses the workspace's seeded xoshiro generator (`strudel_rdf::rng`)
-//! rather than the external `proptest` crate, so it runs in offline
-//! builds; failures print the seed, and re-running with that seed
-//! reproduces them.
+//! Uses the workspace's seeded xoshiro generator (`strudel_rdf::rng`);
+//! failures print the seed, and re-running with that seed reproduces them.
 
 use strudel_core::wire::ShardRing;
 use strudel_rdf::rng::StdRng;

@@ -106,16 +106,6 @@ pub enum Object {
     Literal(LiteralId),
 }
 
-impl Object {
-    /// Returns the IRI id if this object is an IRI.
-    pub fn as_iri(self) -> Option<IriId> {
-        match self {
-            Object::Iri(id) => Some(id),
-            Object::Literal(_) => None,
-        }
-    }
-}
-
 /// An interning dictionary mapping IRIs and literals to dense ids.
 ///
 /// Ids are stable for the lifetime of the dictionary and dense (`0..len`),

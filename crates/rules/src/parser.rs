@@ -21,6 +21,13 @@
 use crate::ast::{Atom, Formula, Rule, Var};
 use crate::error::RuleError;
 
+/// The deepest formula the parser accepts. Every `(`, every `not` and every
+/// `and`/`or` of a chain counts as one level. Printing, evaluating and
+/// [`Rule::new`] recurse over the formula tree, so deeper text is refused
+/// here rather than overflowing a thread's stack later; the server parses
+/// rules on its event-loop thread.
+pub const MAX_FORMULA_DEPTH: usize = 256;
+
 /// Parses the textual form of a rule.
 pub fn parse_rule(input: &str) -> Result<Rule, RuleError> {
     let tokens = tokenize(input)?;
@@ -251,42 +258,60 @@ impl Parser {
     }
 
     fn parse_formula(&mut self) -> Result<Formula, RuleError> {
-        self.parse_or()
+        self.parse_or(0).map(|(formula, _)| formula)
     }
 
-    fn parse_or(&mut self) -> Result<Formula, RuleError> {
-        let mut left = self.parse_and()?;
+    /// Returns `height` if a formula `height` levels tall fits below
+    /// `depth` enclosing levels, and a parse error otherwise.
+    fn capped(&self, depth: usize, height: usize) -> Result<usize, RuleError> {
+        if depth + height > MAX_FORMULA_DEPTH {
+            return Err(self.error_here(format!(
+                "formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+            )));
+        }
+        Ok(height)
+    }
+
+    /// Parses a disjunction under `depth` enclosing levels, returning it
+    /// with its height (the levels it adds).
+    fn parse_or(&mut self, depth: usize) -> Result<(Formula, usize), RuleError> {
+        let (mut left, mut height) = self.parse_and(depth)?;
         while self.peek() == Some(&TokenKind::Or) {
             self.pos += 1;
-            let right = self.parse_and()?;
+            let (right, right_height) = self.parse_and(depth)?;
+            height = self.capped(depth, height.max(right_height) + 1)?;
             left = Formula::or(left, right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_and(&mut self) -> Result<Formula, RuleError> {
-        let mut left = self.parse_unary()?;
+    fn parse_and(&mut self, depth: usize) -> Result<(Formula, usize), RuleError> {
+        let (mut left, mut height) = self.parse_unary(depth)?;
         while self.peek() == Some(&TokenKind::And) {
             self.pos += 1;
-            let right = self.parse_unary()?;
+            let (right, right_height) = self.parse_unary(depth)?;
+            height = self.capped(depth, height.max(right_height) + 1)?;
             left = Formula::and(left, right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_unary(&mut self) -> Result<Formula, RuleError> {
+    fn parse_unary(&mut self, depth: usize) -> Result<(Formula, usize), RuleError> {
         match self.peek() {
             Some(TokenKind::Not) => {
+                self.capped(depth, 1)?;
                 self.pos += 1;
-                Ok(Formula::not(self.parse_unary()?))
+                let (inner, height) = self.parse_unary(depth + 1)?;
+                Ok((Formula::not(inner), height + 1))
             }
             Some(TokenKind::LParen) => {
+                self.capped(depth, 1)?;
                 self.pos += 1;
-                let inner = self.parse_formula()?;
+                let inner = self.parse_or(depth + 1)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(inner)
             }
-            _ => self.parse_atom(),
+            _ => Ok((self.parse_atom()?, 0)),
         }
     }
 
@@ -484,6 +509,46 @@ mod tests {
             parse_rule("val(c) = <http://unterminated -> val(c) = 1"),
             Err(RuleError::Parse { .. })
         ));
+    }
+
+    /// A rule whose antecedent nests `levels` deep in each shape the cap
+    /// counts: parentheses, negations, and `and`/`or` chains.
+    fn nested_rules(levels: usize) -> [String; 4] {
+        let atom = "val(c) = 1";
+        [
+            format!(
+                "{}{atom}{} -> {atom}",
+                "(".repeat(levels),
+                ")".repeat(levels)
+            ),
+            format!("{}{atom} -> {atom}", "not ".repeat(levels)),
+            format!("{atom}{} -> {atom}", format!(" and {atom}").repeat(levels)),
+            format!("{atom}{} -> {atom}", format!(" or {atom}").repeat(levels)),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let view = strudel_rdf::signature::SignatureView::from_counts(
+            vec!["http://ex/p".into()],
+            vec![(vec![0], 2), (vec![], 1)],
+        )
+        .unwrap();
+        for text in nested_rules(MAX_FORMULA_DEPTH) {
+            let rule = parse_rule(&text).unwrap_or_else(|err| panic!("{err}: {text:.40}"));
+            assert!(rule.to_string().contains(" -> "));
+            crate::eval::Evaluator::new(&view).sigma(&rule).unwrap();
+        }
+        for levels in [MAX_FORMULA_DEPTH + 1, 100_000] {
+            for text in nested_rules(levels) {
+                match parse_rule(&text) {
+                    Err(RuleError::Parse { message, .. }) => {
+                        assert!(message.contains("nested deeper"), "{message}")
+                    }
+                    other => panic!("{levels} levels of {text:.40}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,11 @@ impl Ratio {
             if denom == 0 {
                 return Err(format!("zero denominator in '{text}'"));
             }
+            // `new` negates a negative denominator and `gcd` takes absolute
+            // values; neither exists for i128::MIN.
+            if numer == i128::MIN || denom == i128::MIN {
+                return Err(format!("numerator or denominator out of range in '{text}'"));
+            }
             return Ok(Ratio::new(numer, denom));
         }
         let (sign, digits) = match text.strip_prefix('-') {
@@ -139,7 +144,10 @@ impl Ratio {
                 .map_err(|_| format!("invalid integer part in '{text}'"))?
         };
         if fraction_part.is_empty() {
-            return Ok(Ratio::from_integer(sign * int_value));
+            return int_value
+                .checked_mul(sign)
+                .map(Ratio::from_integer)
+                .ok_or_else(|| "overflow".to_owned());
         }
         if !fraction_part.bytes().all(|b| b.is_ascii_digit()) {
             return Err(format!("invalid fraction part in '{text}'"));
@@ -307,6 +315,19 @@ mod tests {
         assert!(Ratio::parse("").is_err());
         assert!(Ratio::parse("1/0").is_err());
         assert!(Ratio::parse("a.b").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_i128_min_instead_of_panicking() {
+        let min = i128::MIN.to_string();
+        for text in [
+            format!("1/{min}"),
+            format!("{min}/-1"),
+            format!("{min}/1"),
+            format!("-{min}"),
+        ] {
+            assert!(Ratio::parse(&text).is_err(), "{text}");
+        }
     }
 
     #[test]

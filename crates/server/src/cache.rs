@@ -338,12 +338,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         self.map.contains_key(key)
     }
 
-    /// The owner a resident key is accounted under.
-    pub fn owner_of(&self, key: &K) -> Option<&str> {
-        let (_, _, owner) = self.map.get(key)?;
-        Some(&self.owners[*owner as usize].name)
-    }
-
     /// Removes a key outright, returning its value if it was resident.
     ///
     /// This is an externally-driven removal (a follower applying the
@@ -1107,30 +1101,60 @@ mod tests {
 
     #[test]
     fn torn_tail_records_are_truncated_on_replay() {
-        let path = temp_segment("torn");
-        std::fs::remove_file(&path).ok();
-        {
-            let (mut store, _) = SegmentStore::open(&path, 1024, FsyncPolicy::Off).unwrap();
-            store.record_put(&key(1), "{\"ok\":1}").unwrap();
-            store.record_put(&key(2), "{\"ok\":2}").unwrap();
-            store.flush().unwrap();
+        let put = |n: u32, text: &str, tenant: &str| (key(n), text.to_owned(), tenant.to_owned());
+        let one = put(1, "{\"text\":\"two\nlines\"}", DEFAULT_TENANT);
+        let two = put(2, "{\"ok\":2}", "acme");
+        let three = put(3, "{\"ok\":3}", DEFAULT_TENANT);
+        // One record of every kind, each with the entries replay returns
+        // and the checkpoint it reports once that record is the last whole one.
+        let records = [
+            (encode_put(&one.0, &one.1, &one.2), vec![&one], 0),
+            (encode_put(&two.0, &two.1, &two.2), vec![&one, &two], 0),
+            (encode_delete(&one.0), vec![&two], 0),
+            (encode_checkpoint(41), vec![&two], 41),
+            (
+                encode_put(&three.0, &three.1, &three.2),
+                vec![&two, &three],
+                41,
+            ),
+        ];
+        let mut bytes = Vec::new();
+        let mut states = vec![(0, Vec::new(), 0)];
+        for (record, entries, checkpoint) in records {
+            bytes.extend_from_slice(&record);
+            states.push((bytes.len(), entries, checkpoint));
         }
-        // Simulate a crash mid-append: chop bytes off the last record.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
 
-        let (store, entries) = SegmentStore::open(&path, 1024, FsyncPolicy::Off).unwrap();
-        assert_eq!(entries.len(), 1, "the torn record is dropped");
-        assert_eq!(entries[0].0, key(1));
-        // The file was truncated back to the last whole record, so a fresh
-        // append + replay works.
-        drop(store);
+        // Simulate a crash at every byte of the segment.
+        let path = temp_segment("torn");
+        for cut in 0..=bytes.len() {
+            let (end, expected, checkpoint) = states.iter().rfind(|state| state.0 <= cut).unwrap();
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (store, entries) = SegmentStore::open(&path, 1024, FsyncPolicy::Off).unwrap();
+            let replayed: Vec<&ReplayedEntry> = entries.iter().collect();
+            assert_eq!(&replayed, expected, "cut at byte {cut}");
+            assert_eq!(
+                store.stats().checkpoint_seq,
+                *checkpoint,
+                "cut at byte {cut}"
+            );
+            drop(store);
+            let len = std::fs::metadata(&path).unwrap().len() as usize;
+            assert_eq!(
+                len, *end,
+                "cut at byte {cut}: truncated to the last whole record"
+            );
+        }
+
+        // After a truncation the next append starts a clean record.
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let (mut store, _) = SegmentStore::open(&path, 1024, FsyncPolicy::Off).unwrap();
-        store.record_put(&key(3), "{\"ok\":3}").unwrap();
+        store.record_put(&key(4), "{\"ok\":4}").unwrap();
         store.flush().unwrap();
         drop(store);
         let (_, entries) = SegmentStore::open(&path, 1024, FsyncPolicy::Off).unwrap();
-        assert_eq!(entries.len(), 2);
+        let keys: Vec<CacheKey> = entries.into_iter().map(|(key, _, _)| key).collect();
+        assert_eq!(keys, [key(2), key(4)]);
         std::fs::remove_file(&path).ok();
     }
 

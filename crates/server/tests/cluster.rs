@@ -176,7 +176,7 @@ fn mixed_batches_are_served_by_the_owning_shards() {
         "cache replay through the router is byte-identical"
     );
 
-    // The acceptance criterion: per-shard status counters account for
+    // The bar: per-shard status counters account for
     // exactly the keys the ring assigns to each shard — requests were
     // *served by their owners*, not wherever a connection happened to be.
     for (shard, status) in router.status_all().into_iter().enumerate() {

@@ -4,8 +4,7 @@
 //! batch envelopes decode element-wise with order preserved and per-element
 //! errors isolated.
 //!
-//! Uses the workspace's seeded xoshiro generator (`strudel_rdf::rng`)
-//! rather than the external `proptest` crate, so it runs in offline builds;
+//! Uses the workspace's seeded xoshiro generator (`strudel_rdf::rng`);
 //! failures print the seed, and re-running with that seed reproduces them.
 
 use strudel_core::sigma::SigmaSpec;

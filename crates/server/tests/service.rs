@@ -237,16 +237,37 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
     let handle = start_test_server(1, 8);
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    for bad in [
+    // A refine line with the given theta text and rule text.
+    let refine_line = |theta: &str, rule: &str| {
+        format!(
+            "{{\"op\":\"refine\",\"view\":{{\"properties\":[\"p\"],\"signatures\":[[[0],1]]}},\"k\":1,\"theta\":\"{theta}\",\"rule\":\"{rule}\"}}"
+        )
+    };
+    let atom = "val(c) = 1";
+    let deep = 100_000;
+    let mut bad_lines: Vec<String> = [
         "this is not json",
         "{\"op\":\"frobnicate\"}",
         "{\"no\":\"op\"}",
         "{\"op\":\"refine\"}",
         "{\"op\":\"refine\",\"view\":{\"properties\":[\"p\"],\"signatures\":[[[7],1]]},\"k\":1,\"theta\":\"1/2\"}",
         "{\"op\":\"refine\",\"view\":{\"properties\":[\"p\"],\"signatures\":[[[0],1]]},\"k\":1,\"theta\":\"0.5.5\"}",
-    ] {
+    ]
+    .map(str::to_owned)
+    .into();
+    let rule_line = |antecedent: String| refine_line("1/2", &format!("{antecedent} -> {atom}"));
+    bad_lines.extend([
+        // i128::MIN as a denominator once panicked the event-loop thread.
+        refine_line("1/-170141183460469231731687303715884105728", "cov"),
+        // Rules nested this deep once overflowed the event-loop stack.
+        rule_line(format!("{}{atom}{}", "(".repeat(deep), ")".repeat(deep))),
+        rule_line("not ".repeat(deep) + atom),
+        rule_line(atom.to_owned() + &format!(" and {atom}").repeat(deep)),
+        rule_line(atom.to_owned() + &format!(" or {atom}").repeat(deep)),
+    ]);
+    for bad in &bad_lines {
         let raw = client.call_raw(bad).expect("connection stays up");
-        assert!(raw.starts_with("{\"ok\":false,"), "for {bad}: {raw}");
+        assert!(raw.starts_with("{\"ok\":false,"), "for {bad:.120}: {raw}");
     }
 
     // The same connection still serves good requests afterwards.

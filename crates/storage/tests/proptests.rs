@@ -8,20 +8,19 @@
 //!   when every subject sets a property at most once,
 //! * the one-table-per-signature property-table layout never stores a NULL,
 //!   and its occupied cell count equals the number of 1-cells of `M(D)`.
-
-// Needs the external `proptest` crate: compiled only with `--features proptest`
-// (unavailable in offline builds; see the manifest note).
-#![cfg(feature = "proptest")]
-
-use proptest::collection::vec;
-use proptest::prelude::*;
+//!
+//! Driven by the workspace's seeded generator (`strudel_rdf::rng`); every
+//! assertion names the seed and the case index.
 
 use strudel_core::sigma::SigmaSpec;
 use strudel_rdf::graph::Graph;
 use strudel_rdf::matrix::PropertyStructureView;
+use strudel_rdf::rng::StdRng;
 use strudel_rdf::signature::SignatureView;
 use strudel_rdf::term::Literal;
 use strudel_storage::prelude::*;
+
+const CASES: usize = 48;
 
 const PROPERTIES: [&str; 5] = [
     "http://ex/name",
@@ -31,9 +30,12 @@ const PROPERTIES: [&str; 5] = [
     "http://ex/deathPlace",
 ];
 
-/// A dataset description: per subject, the subset of `PROPERTIES` it sets.
-fn dataset_strategy() -> impl Strategy<Value = Vec<Vec<bool>>> {
-    vec(vec(any::<bool>(), PROPERTIES.len()), 1..25)
+/// A dataset description of 1–24 subjects: per subject, the subset of
+/// `PROPERTIES` it sets.
+fn random_dataset(rng: &mut StdRng) -> Vec<Vec<bool>> {
+    (0..rng.gen_range(1..25usize))
+        .map(|_| PROPERTIES.iter().map(|_| rng.gen_bool(0.5)).collect())
+        .collect()
 }
 
 fn build_graph(rows: &[Vec<bool>]) -> Graph {
@@ -103,12 +105,12 @@ fn workload_for(graph: &Graph) -> Vec<Query> {
     queries
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn layouts_agree_on_every_query(rows in dataset_strategy()) {
-        let graph = build_graph(&rows);
+#[test]
+fn layouts_agree_on_every_query() {
+    const SEED: u64 = 0x1a70;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let graph = build_graph(&random_dataset(&mut rng));
         let (triple_store, horizontal, property_tables) = build_layouts(&graph);
         let queries = workload_for(&graph);
         let mut layouts: Vec<&dyn Layout> = vec![&triple_store, &horizontal];
@@ -117,55 +119,73 @@ proptest! {
         }
         // run_workload returns an error (instead of summaries) on any answer
         // mismatch, so a successful run is the assertion.
-        let summaries = run_workload(&layouts, &queries).expect("layouts must agree");
-        prop_assert_eq!(summaries.len(), layouts.len());
+        let summaries = run_workload(&layouts, &queries)
+            .unwrap_or_else(|err| panic!("seed {SEED:#x} case {case}: layouts disagree: {err}"));
+        assert_eq!(summaries.len(), layouts.len(), "seed {SEED:#x} case {case}");
     }
+}
 
-    #[test]
-    fn horizontal_fill_factor_is_coverage(rows in dataset_strategy()) {
-        let graph = build_graph(&rows);
+#[test]
+fn horizontal_fill_factor_is_coverage() {
+    const SEED: u64 = 0xf111;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let graph = build_graph(&random_dataset(&mut rng));
         let matrix = PropertyStructureView::from_graph(&graph, true);
         let view = SignatureView::from_matrix(&matrix);
         let horizontal = HorizontalLayout::build(&graph, &LayoutConfig::excluding_rdf_type());
         let sigma_cov = SigmaSpec::Coverage.evaluate(&view).unwrap().to_f64();
-        match horizontal.storage_stats().fill_factor() {
-            Some(fill) => prop_assert!((fill - sigma_cov).abs() < 1e-9),
-            // No cells at all: only possible when no subject sets any
-            // property, where σ_Cov is 1 by the empty-total-cases convention.
-            None => prop_assert!((sigma_cov - 1.0).abs() < 1e-9),
-        }
+        // No cells at all is only possible when no subject sets any
+        // property, where σ_Cov is 1 by the empty-total-cases convention.
+        let fill = horizontal.storage_stats().fill_factor().unwrap_or(1.0);
+        assert!(
+            (fill - sigma_cov).abs() < 1e-9,
+            "seed {SEED:#x} case {case}: fill factor {fill} vs σ_Cov {sigma_cov}"
+        );
     }
+}
 
-    #[test]
-    fn per_signature_tables_store_no_nulls(rows in dataset_strategy()) {
-        let graph = build_graph(&rows);
+#[test]
+fn per_signature_tables_store_no_nulls() {
+    const SEED: u64 = 0x0a11;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let context = format!("seed {SEED:#x} case {case}");
+        let graph = build_graph(&random_dataset(&mut rng));
         let matrix = PropertyStructureView::from_graph(&graph, true);
         let view = SignatureView::from_matrix(&matrix);
         let config = LayoutConfig::excluding_rdf_type();
         let layout = PropertyTablesLayout::one_table_per_signature(&graph, &matrix, &view, &config)
             .expect("non-empty dataset");
         let stats = layout.storage_stats();
-        prop_assert_eq!(stats.null_cells, 0);
-        prop_assert_eq!(stats.occupied_cells, view.ones());
-        prop_assert_eq!(stats.rows, view.subject_count());
-        prop_assert_eq!(layout.tables().len(), view.signature_count());
+        assert_eq!(stats.null_cells, 0, "{context}");
+        assert_eq!(stats.occupied_cells, view.ones(), "{context}");
+        assert_eq!(stats.rows, view.subject_count(), "{context}");
+        assert_eq!(layout.tables().len(), view.signature_count(), "{context}");
     }
+}
 
-    #[test]
-    fn property_tables_never_cost_more_cells_than_horizontal_on_scans(rows in dataset_strategy()) {
-        let graph = build_graph(&rows);
+#[test]
+fn property_tables_never_cost_more_cells_than_horizontal_on_scans() {
+    const SEED: u64 = 0x5ca5;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let graph = build_graph(&random_dataset(&mut rng));
         let (_, horizontal, property_tables) = build_layouts(&graph);
         let Some(property_tables) = property_tables else {
-            return Ok(());
+            continue;
         };
         for property in PROPERTIES {
-            let query = Query::PropertyScan { property: property.into() };
+            let context = format!("seed {SEED:#x} case {case}: scan {property}");
+            let query = Query::PropertyScan {
+                property: property.into(),
+            };
             let (h_out, h_cost) = horizontal.execute(&query);
             let (p_out, p_cost) = property_tables.execute(&query);
-            prop_assert_eq!(&h_out, &p_out);
+            assert_eq!(h_out, p_out, "{context}");
             // The per-signature tables only scan rows that could match, so
             // they never inspect more cells than the wide table does.
-            prop_assert!(p_cost.cells_scanned <= h_cost.cells_scanned);
+            assert!(p_cost.cells_scanned <= h_cost.cells_scanned, "{context}");
         }
     }
 }

@@ -53,7 +53,7 @@ fn repeated_refine_hits_the_cache_with_byte_identical_answers() {
     let cached = client.solve(&request).expect("cached solve");
     assert_eq!(cached.source(), Some(Source::Cache));
 
-    // The acceptance criterion: byte-identical result payloads, compared on
+    // The bar: byte-identical result payloads, compared on
     // the raw bytes the server sent, not on re-serialized values.
     let cold_bytes = cold.result_text().expect("cold result bytes");
     let cached_bytes = cached.result_text().expect("cached result bytes");
