@@ -176,9 +176,8 @@ impl IlpEngine {
         theta: Ratio,
         hint: Option<&RefinementHint>,
     ) -> Result<(RefineOutcome, SolveStats), RefineError> {
-        let encoding = encode_with_table(view, table, k, theta, &self.config.encoding)?;
-        let mut model = encoding.model.clone();
-        presolve(&mut model);
+        let mut encoding = encode_with_table(view, table, k, theta, &self.config.encoding)?;
+        presolve(&mut encoding.model);
         let warm = hint.and_then(|hint| self.warm_start_for(&encoding, view, hint));
         let solver = Solver::with_config(SolverConfig {
             time_limit: self.config.time_limit,
@@ -189,7 +188,7 @@ impl IlpEngine {
             stop: self.config.stop.clone(),
         });
         let result = solver
-            .solve_with_hint(&model, warm.as_ref())
+            .solve_with_hint(&encoding.model, warm.as_ref())
             .map_err(|e| RefineError::Ilp(e.to_string()))?;
         let stats = result.stats;
         let outcome = match result.status {

@@ -16,6 +16,19 @@
 //! the watching rows' activities in one multiply-add per watcher — the
 //! per-event linear rescan of the row (`row_coeff`) that the first version
 //! of this engine paid is gone, on the hot path and on backtracking alike.
+//!
+//! A woken row reads its terms only when one of them might tighten. At
+//! construction each row stores its *reach*, the largest `|aᵢ|·(ubᵢ − lbᵢ)`
+//! over the root bounds. A term can tighten only when the row's slack
+//! `rhs − min_activity` is below `|aᵢ|` times the term's current range, and
+//! bounds only narrow during a solve, so a row whose slack is at least its
+//! reach returns right after the conflict check. The terms are walked in
+//! place, never copied.
+//!
+//! Backtracking costs what was done since the matching level, never the
+//! model's size: [`Engine::pop_level`] undoes the trail entries, clears only
+//! the rows still queued, and keeps the count of unfixed variables that
+//! makes [`Engine::all_fixed`] O(1).
 
 use std::collections::VecDeque;
 
@@ -34,6 +47,22 @@ pub struct Conflict {
 struct Row {
     terms: Vec<(usize, i64)>,
     rhs: i128,
+    /// The largest `|aᵢ|·(ubᵢ − lbᵢ)` over the root bounds: a slack of at
+    /// least this much leaves every term of the row unable to tighten.
+    reach: i128,
+}
+
+impl Row {
+    fn new(terms: Vec<(usize, i64)>, rhs: i128, model: &Model) -> Self {
+        let reach = terms
+            .iter()
+            .map(|&(var, coeff)| {
+                let def = &model.vars()[var];
+                i128::from(coeff.unsigned_abs()) * (i128::from(def.upper) - i128::from(def.lower))
+            })
+            .fold(0, i128::max);
+        Row { terms, rhs, reach }
+    }
 }
 
 /// One entry of a variable's watcher list: the row to wake and the
@@ -68,12 +97,12 @@ pub struct Engine {
     trail: Vec<TrailEntry>,
     level_marks: Vec<usize>,
     queue: VecDeque<usize>,
+    /// `in_queue[r]` holds exactly when row `r` is in `queue`.
     in_queue: Vec<bool>,
+    /// Number of variables whose lower and upper bounds differ.
+    unfixed: usize,
     /// Total number of bound tightenings performed.
     pub propagations: u64,
-    /// Total number of bound events posted to watcher lists (a tightening
-    /// wakes each row watching that bound once).
-    pub events: u64,
 }
 
 fn floor_div(a: i128, b: i128) -> i128 {
@@ -115,24 +144,13 @@ impl Engine {
                 .iter()
                 .map(|&(var, coeff)| (var.index(), coeff))
                 .collect();
+            let negated = || terms.iter().map(|&(v, c)| (v, -c)).collect();
             match constraint.cmp {
-                Cmp::Le => rows.push(Row {
-                    terms: terms.clone(),
-                    rhs: base_rhs,
-                }),
-                Cmp::Ge => rows.push(Row {
-                    terms: terms.iter().map(|&(v, c)| (v, -c)).collect(),
-                    rhs: -base_rhs,
-                }),
+                Cmp::Le => rows.push(Row::new(terms.clone(), base_rhs, model)),
+                Cmp::Ge => rows.push(Row::new(negated(), -base_rhs, model)),
                 Cmp::Eq => {
-                    rows.push(Row {
-                        terms: terms.clone(),
-                        rhs: base_rhs,
-                    });
-                    rows.push(Row {
-                        terms: terms.iter().map(|&(v, c)| (v, -c)).collect(),
-                        rhs: -base_rhs,
-                    });
+                    rows.push(Row::new(terms.clone(), base_rhs, model));
+                    rows.push(Row::new(negated(), -base_rhs, model));
                 }
             }
         }
@@ -155,6 +173,7 @@ impl Engine {
 
         let lower: Vec<i64> = model.vars().iter().map(|v| v.lower).collect();
         let upper: Vec<i64> = model.vars().iter().map(|v| v.upper).collect();
+        let unfixed = lower.iter().zip(&upper).filter(|(l, u)| l != u).count();
 
         let mut engine = Engine {
             min_activity: vec![0; rows.len()],
@@ -167,8 +186,8 @@ impl Engine {
             trail: Vec::new(),
             level_marks: Vec::new(),
             queue: VecDeque::new(),
+            unfixed,
             propagations: 0,
-            events: 0,
         };
         for row_idx in 0..engine.rows.len() {
             engine.min_activity[row_idx] = engine.compute_min_activity(row_idx);
@@ -208,7 +227,7 @@ impl Engine {
 
     /// Whether every variable is fixed.
     pub fn all_fixed(&self) -> bool {
-        (0..self.lower.len()).all(|v| self.is_fixed(v))
+        self.unfixed == 0
     }
 
     /// The current assignment (meaningful when [`Engine::all_fixed`] holds;
@@ -248,6 +267,9 @@ impl Engine {
             let entry = self.trail.pop().expect("trail length checked");
             match entry {
                 TrailEntry::Lower { var, old } => {
+                    // Undone in reverse, so the bounds are those just after
+                    // this change: a fixed variable becomes free again.
+                    self.unfixed += usize::from(self.is_fixed(var));
                     let delta = i128::from(self.lower[var] - old);
                     for watch in &self.lower_watches[var] {
                         self.min_activity[watch.row as usize] -= i128::from(watch.coeff) * delta;
@@ -255,6 +277,7 @@ impl Engine {
                     self.lower[var] = old;
                 }
                 TrailEntry::Upper { var, old } => {
+                    self.unfixed += usize::from(self.is_fixed(var));
                     let delta = i128::from(self.upper[var] - old);
                     for watch in &self.upper_watches[var] {
                         self.min_activity[watch.row as usize] -= i128::from(watch.coeff) * delta;
@@ -263,8 +286,9 @@ impl Engine {
                 }
             }
         }
-        self.queue.clear();
-        self.in_queue.iter_mut().for_each(|flag| *flag = false);
+        for row in self.queue.drain(..) {
+            self.in_queue[row] = false;
+        }
     }
 
     /// Tightens the lower bound of a variable, recording the change on the
@@ -280,8 +304,8 @@ impl Engine {
         self.trail.push(TrailEntry::Lower { var, old });
         let delta = i128::from(value - old);
         self.lower[var] = value;
+        self.unfixed -= usize::from(value == self.upper[var]);
         self.propagations += 1;
-        self.events += 1;
         for watch_idx in 0..self.lower_watches[var].len() {
             let watch = self.lower_watches[var][watch_idx];
             let row = watch.row as usize;
@@ -306,8 +330,8 @@ impl Engine {
         self.trail.push(TrailEntry::Upper { var, old });
         let delta = i128::from(value - old);
         self.upper[var] = value;
+        self.unfixed -= usize::from(value == self.lower[var]);
         self.propagations += 1;
-        self.events += 1;
         for watch_idx in 0..self.upper_watches[var].len() {
             let watch = self.upper_watches[var][watch_idx];
             let row = watch.row as usize;
@@ -351,10 +375,13 @@ impl Engine {
         if min_activity > rhs {
             return Err(Conflict { row: Some(row_idx) });
         }
+        if rhs - min_activity >= self.rows[row_idx].reach {
+            return Ok(());
+        }
         // For each term, the slack available once the rest of the row sits at
         // its minimum determines how large (or small) the variable may be.
-        let terms = self.rows[row_idx].terms.clone();
-        for (var, coeff) in terms {
+        for term in 0..self.rows[row_idx].terms.len() {
+            let (var, coeff) = self.rows[row_idx].terms[term];
             if coeff == 0 || self.is_fixed(var) {
                 continue;
             }

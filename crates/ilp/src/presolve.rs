@@ -6,7 +6,7 @@
 //! bounds are already equal. Removing them up front shrinks the propagation
 //! working set without changing the set of solutions.
 
-use crate::model::{Cmp, Constraint, Model};
+use crate::model::{Cmp, Constraint, Model, VarDef};
 
 /// A report of the reductions performed by [`presolve`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,11 +27,11 @@ impl PresolveReport {
 }
 
 /// Extreme activities of a constraint expression under the variable bounds.
-fn activity_range(model: &Model, constraint: &Constraint) -> (i128, i128) {
+fn activity_range(vars: &[VarDef], constraint: &Constraint) -> (i128, i128) {
     let mut min_activity = i128::from(constraint.expr.constant);
     let mut max_activity = i128::from(constraint.expr.constant);
     for &(var, coeff) in &constraint.expr.terms {
-        let def = &model.vars()[var.index()];
+        let def = &vars[var.index()];
         let coeff = i128::from(coeff);
         let low = coeff * i128::from(def.lower);
         let high = coeff * i128::from(def.upper);
@@ -57,21 +57,7 @@ pub fn presolve(model: &mut Model) -> PresolveReport {
 
     let mut kept = Vec::with_capacity(model.constraints.len());
     for constraint in model.constraints.drain(..) {
-        let (min_activity, max_activity) = {
-            // `activity_range` needs `&Model`, but we have drained the
-            // constraint out already, so compute inline against the vars.
-            let mut min_activity = i128::from(constraint.expr.constant);
-            let mut max_activity = i128::from(constraint.expr.constant);
-            for &(var, coeff) in &constraint.expr.terms {
-                let def = &model.vars[var.index()];
-                let coeff = i128::from(coeff);
-                let low = coeff * i128::from(def.lower);
-                let high = coeff * i128::from(def.upper);
-                min_activity += low.min(high);
-                max_activity += low.max(high);
-            }
-            (min_activity, max_activity)
-        };
+        let (min_activity, max_activity) = activity_range(&model.vars, &constraint);
         let rhs = i128::from(constraint.rhs);
         let (redundant, infeasible) = match constraint.cmp {
             Cmp::Le => (max_activity <= rhs, min_activity > rhs),
@@ -92,12 +78,6 @@ pub fn presolve(model: &mut Model) -> PresolveReport {
     }
     model.constraints = kept;
     report
-}
-
-/// Convenience wrapper returning the activity range of a constraint; exposed
-/// for diagnostics and tests.
-pub fn constraint_activity_range(model: &Model, index: usize) -> (i128, i128) {
-    activity_range(model, &model.constraints()[index])
 }
 
 #[cfg(test)]
@@ -187,11 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn activity_range_is_exposed() {
+    fn activity_range_spans_the_bounds() {
         let mut model = Model::new();
         let x = model.add_integer("x", -2, 3);
         model.add_constraint("c", LinExpr::new().plus(2, x).plus_const(1), Cmp::Le, 100);
-        let (low, high) = constraint_activity_range(&model, 0);
+        let (low, high) = activity_range(model.vars(), &model.constraints()[0]);
         assert_eq!(low, -3);
         assert_eq!(high, 7);
     }

@@ -12,8 +12,11 @@
 //!   remove answers),
 //! * that equivalence holds across every brancher and with restarts on,
 //! * restart schedules are deterministic: re-running a restarting solve
-//!   reproduces its node/conflict/restart counts exactly.
+//!   reproduces its node/conflict/restart counts exactly,
+//! * the propagation engine reaches the same fixpoint as a reference that
+//!   rescans every row, and backtracking restores the bounds exactly.
 
+use strudel_ilp::engine::Engine;
 use strudel_ilp::prelude::*;
 use strudel_rdf::rng::StdRng;
 
@@ -273,5 +276,233 @@ fn luby_is_reproducible_across_interleavings() {
     for (position, &i) in order.iter().enumerate() {
         let _ = position;
         assert_eq!(luby(i), reference[(i - 1) as usize]);
+    }
+}
+
+/// A uniform integer in `low..=high`.
+fn int_in(rng: &mut StdRng, low: i64, high: i64) -> i64 {
+    low + rng.gen_range(0..(high - low + 1) as usize) as i64
+}
+
+/// A random feasibility model over binary and small-range integer
+/// variables (bounds within −3..=5), so a row's reach often exceeds 1.
+fn random_mixed_model(rng: &mut StdRng) -> Model {
+    let mut model = Model::new();
+    let vars: Vec<VarId> = (0..rng.gen_range(2..8usize))
+        .map(|i| {
+            if rng.gen_bool(0.5) {
+                model.add_binary(format!("b{i}"))
+            } else {
+                let lower = int_in(rng, -3, 5);
+                let upper = int_in(rng, lower, 5);
+                model.add_integer(format!("n{i}"), lower, upper)
+            }
+        })
+        .collect();
+    for c in 0..rng.gen_range(1..6usize) {
+        let mut expr = LinExpr::new();
+        for &var in &vars {
+            if rng.gen_bool(0.6) {
+                expr.add_term(int_in(rng, -3, 3), var);
+            }
+        }
+        let cmp = [Cmp::Le, Cmp::Ge, Cmp::Eq][rng.gen_range(0..3usize)];
+        let rhs = int_in(rng, -4, 8);
+        model.add_constraint(format!("c{c}"), expr, cmp, rhs);
+    }
+    model
+}
+
+/// The model's constraints as `Σ aᵢ·xᵢ ≤ rhs` rows.
+fn normalized_rows(model: &Model) -> Vec<(Vec<(usize, i64)>, i128)> {
+    let mut rows = Vec::new();
+    for constraint in model.constraints() {
+        let terms: Vec<(usize, i64)> = constraint
+            .expr
+            .terms
+            .iter()
+            .map(|&(var, coeff)| (var.index(), coeff))
+            .collect();
+        let negated: Vec<(usize, i64)> = terms.iter().map(|&(var, coeff)| (var, -coeff)).collect();
+        let rhs = i128::from(constraint.rhs) - i128::from(constraint.expr.constant);
+        match constraint.cmp {
+            Cmp::Le => rows.push((terms, rhs)),
+            Cmp::Ge => rows.push((negated, -rhs)),
+            Cmp::Eq => {
+                rows.push((terms, rhs));
+                rows.push((negated, -rhs));
+            }
+        }
+    }
+    rows
+}
+
+/// The reference propagator: rescans every row in full, deriving each
+/// term's bound from the rest of the row at its minimum, until a whole pass
+/// changes nothing. Returns `false` on a conflict.
+fn reference_propagate(
+    rows: &[(Vec<(usize, i64)>, i128)],
+    lower: &mut [i64],
+    upper: &mut [i64],
+) -> bool {
+    let least = |coeff: i64, var: usize, lower: &[i64], upper: &[i64]| {
+        let bound = if coeff > 0 { lower[var] } else { upper[var] };
+        i128::from(coeff) * i128::from(bound)
+    };
+    loop {
+        let mut changed = false;
+        for (terms, rhs) in rows {
+            let min_activity: i128 = terms
+                .iter()
+                .map(|&(var, coeff)| least(coeff, var, lower, upper))
+                .sum();
+            if min_activity > *rhs {
+                return false;
+            }
+            for (i, &(var, coeff)) in terms.iter().enumerate() {
+                if coeff == 0 {
+                    continue;
+                }
+                let rest: i128 = terms
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &(other, c))| least(c, other, lower, upper))
+                    .sum();
+                let slack = rhs - rest;
+                if coeff > 0 {
+                    let bound = slack.div_euclid(i128::from(coeff));
+                    if bound < i128::from(upper[var]) {
+                        if bound < i128::from(lower[var]) {
+                            return false;
+                        }
+                        upper[var] = bound as i64;
+                        changed = true;
+                    }
+                } else {
+                    let bound = -slack.div_euclid(-i128::from(coeff));
+                    if bound > i128::from(lower[var]) {
+                        if bound > i128::from(upper[var]) {
+                            return false;
+                        }
+                        lower[var] = bound as i64;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        if !changed {
+            return true;
+        }
+    }
+}
+
+/// The engine's current `(lower, upper)` bounds.
+fn engine_bounds(engine: &Engine) -> (Vec<i64>, Vec<i64>) {
+    let vars = 0..engine.num_vars();
+    (
+        vars.clone().map(|var| engine.lower(var)).collect(),
+        vars.map(|var| engine.upper(var)).collect(),
+    )
+}
+
+/// Asserts the engine holds exactly these bounds and that `all_fixed`
+/// agrees with a full scan of them.
+fn assert_state(engine: &Engine, lower: &[i64], upper: &[i64], context: &str) {
+    assert_eq!(
+        engine_bounds(engine),
+        (lower.to_vec(), upper.to_vec()),
+        "{context}"
+    );
+    let scan = lower.iter().zip(upper).all(|(l, u)| l == u);
+    assert_eq!(engine.all_fixed(), scan, "{context}");
+}
+
+/// After every `propagate`, the engine's conflict verdict (and, when there
+/// is none, its bounds and `all_fixed`) equals the reference fixpoint's;
+/// after every `pop_level`, the bounds are those saved at the matching push
+/// and `all_fixed` agrees with a full scan. Bound changes mirror the
+/// engine's own rules: at or inside the current bound is a no-op, past the
+/// other bound is refused.
+#[test]
+fn propagation_matches_a_reference_fixpoint() {
+    const SEED: u64 = 0xf1c5;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..256 {
+        let model = random_mixed_model(&mut rng);
+        let context = format!("seed {SEED:#x} case {case}: {model:?}");
+        let rows = normalized_rows(&model);
+        let mut engine = Engine::new(&model).expect("engine");
+        let (mut lower, mut upper) = engine_bounds(&engine);
+        engine.schedule_all();
+        let feasible = reference_propagate(&rows, &mut lower, &mut upper);
+        assert_eq!(
+            engine.propagate().is_ok(),
+            feasible,
+            "{context} at the root"
+        );
+        if !feasible {
+            continue;
+        }
+        let (root_lower, root_upper) = (lower.clone(), upper.clone());
+        // Bounds saved at each open level; `settled` holds when nothing
+        // waits for propagation, `conflict` after a failed propagation.
+        let mut saved: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
+        let (mut settled, mut conflict) = (true, false);
+        assert_state(&engine, &lower, &upper, &context);
+        for step in 0..48 {
+            let context = format!("{context} step {step}");
+            let op = if conflict {
+                1
+            } else {
+                rng.gen_range(0..6usize)
+            };
+            match op {
+                1 if !saved.is_empty() => {
+                    engine.pop_level();
+                    (lower, upper) = saved.pop().expect("an open level");
+                    assert_state(&engine, &lower, &upper, &context);
+                    (settled, conflict) = (true, false);
+                }
+                0..=4 if settled && (op <= 1 || saved.is_empty()) => {
+                    engine.push_level();
+                    saved.push((lower.clone(), upper.clone()));
+                }
+                2..=4 => {
+                    let var = rng.gen_range(0..engine.num_vars());
+                    let value = int_in(&mut rng, root_lower[var] - 1, root_upper[var] + 1);
+                    let (new_lower, new_upper) = match op {
+                        2 => (value, value),
+                        3 => (lower[var], value.min(upper[var])),
+                        _ => (value.max(lower[var]), upper[var]),
+                    };
+                    let accepted = lower[var] <= new_lower
+                        && new_upper <= upper[var]
+                        && new_lower <= new_upper;
+                    let result = match op {
+                        2 => engine.fix(var, value),
+                        3 => engine.set_upper(var, value),
+                        _ => engine.set_lower(var, value),
+                    };
+                    assert_eq!(
+                        result.is_ok(),
+                        accepted,
+                        "{context}: op {op} x{var} = {value}"
+                    );
+                    if accepted {
+                        (lower[var], upper[var]) = (new_lower, new_upper);
+                        settled = false;
+                    }
+                }
+                _ => {
+                    let feasible = reference_propagate(&rows, &mut lower, &mut upper);
+                    assert_eq!(engine.propagate().is_ok(), feasible, "{context}");
+                    if feasible {
+                        assert_state(&engine, &lower, &upper, &context);
+                    }
+                    (settled, conflict) = (feasible, !feasible);
+                }
+            }
+        }
     }
 }

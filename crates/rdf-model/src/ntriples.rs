@@ -87,7 +87,8 @@ fn escape_string(s: &str) -> String {
 }
 
 struct LineParser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next character; always on a character boundary.
     pos: usize,
     line: usize,
 }
@@ -95,10 +96,18 @@ struct LineParser<'a> {
 impl<'a> LineParser<'a> {
     fn new(line: &'a str, line_no: usize) -> Self {
         LineParser {
-            bytes: line.as_bytes(),
+            text: line,
             pos: 0,
             line: line_no,
         }
+    }
+
+    /// The character at `pos`; the caller has seen a byte there.
+    fn next_char(&self) -> char {
+        self.text[self.pos..]
+            .chars()
+            .next()
+            .expect("a byte at pos starts a character")
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -106,13 +115,13 @@ impl<'a> LineParser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && (self.bytes[self.pos] as char).is_whitespace() {
+        while self.peek().is_some_and(|b| (b as char).is_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
@@ -190,12 +199,9 @@ impl<'a> LineParser<'a> {
                         _ => return Err(self.error("invalid escape in IRI")),
                     }
                 }
-                Some(other) => {
+                Some(_) => {
                     // Consume a full UTF-8 character, not just a byte.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in IRI"))?;
-                    let ch = text.chars().next().unwrap_or(other as char);
+                    let ch = self.next_char();
                     if ch.is_whitespace() {
                         return Err(self.error("whitespace inside IRI"));
                     }
@@ -258,10 +264,7 @@ impl<'a> LineParser<'a> {
                     }
                 }
                 Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in literal"))?;
-                    let ch = text.chars().next().expect("non-empty checked above");
+                    let ch = self.next_char();
                     lexical.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -282,9 +285,7 @@ impl<'a> LineParser<'a> {
                 if self.pos == start {
                     return Err(self.error("empty language tag"));
                 }
-                let tag = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("ASCII checked")
-                    .to_owned();
+                let tag = self.text[start..self.pos].to_owned();
                 Ok(Literal::lang(lexical, tag))
             }
             Some(b'^') => {
@@ -305,11 +306,13 @@ impl<'a> LineParser<'a> {
         };
         self.pos += 1;
         let len = if long { 8 } else { 4 };
-        if self.pos + len > self.bytes.len() {
+        if self.pos + len > self.text.len() {
             return Err(self.error("truncated unicode escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + len])
-            .map_err(|_| self.error("invalid unicode escape"))?;
+        let hex = self
+            .text
+            .get(self.pos..self.pos + len)
+            .ok_or_else(|| self.error("invalid unicode escape"))?;
         let code = u32::from_str_radix(hex, 16)
             .map_err(|_| self.error("invalid hex in unicode escape"))?;
         self.pos += len;

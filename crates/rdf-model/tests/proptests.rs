@@ -12,22 +12,33 @@ fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
 }
 
 /// A "safe" IRI (no characters needing escapes): a lowercase letter and up
-/// to eight more letters or digits under `http://example.org/`.
+/// to eight more letters or digits under `http://example.org/`, and half
+/// the time a second path segment of one to four 2-, 3- and 4-byte
+/// characters.
 fn random_iri(rng: &mut StdRng) -> String {
     const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+    const WIDE: &[char] = &['é', 'π', '日', '😀'];
     let mut name = String::from(char::from(b'a' + rng.gen_range(0..26usize) as u8));
     for _ in 0..rng.gen_range(0..9usize) {
         name.push(char::from(pick(rng, TAIL)));
+    }
+    if rng.gen_bool(0.5) {
+        name.push('/');
+        for _ in 0..rng.gen_range(1..5usize) {
+            name.push(pick(rng, WIDE));
+        }
     }
     format!("http://example.org/{name}")
 }
 
 /// A literal of up to 20 characters drawn from printable ASCII plus the
 /// characters N-Triples must escape or encode (tab, newline, quote,
-/// backslash, non-ASCII), as a plain, `xsd:string`-typed or
+/// backslash, 2-, 3- and 4-byte UTF-8), as a plain, `xsd:string`-typed or
 /// language-tagged literal.
 fn random_literal(rng: &mut StdRng) -> Literal {
-    let alphabet: Vec<char> = (' '..='~').chain(['à', 'é', 'π', '\t', '\n']).collect();
+    let alphabet: Vec<char> = (' '..='~')
+        .chain(['à', 'é', 'π', '日', '😀', '\t', '\n'])
+        .collect();
     let lexical: String = (0..rng.gen_range(0..21usize))
         .map(|_| pick(rng, &alphabet))
         .collect();

@@ -176,3 +176,27 @@ fn semantic_correctness_shape() {
     }
     assert!(accuracies[1] >= accuracies[0] - 1e-9);
 }
+
+/// Two of the infeasibility proofs the paper pipeline asks: DBpedia Persons
+/// at 1/40 scale has no k = 2 Cov refinement at θ = 3/4 or at θ = 69/100.
+/// The tree the default ILP engine explores for each proof is pinned; a
+/// change that means to alter the search updates these counts and says why.
+#[test]
+fn dbpedia_cov_k2_proofs_keep_their_search_tree() {
+    let view = dbpedia_persons_scaled(40);
+    let engine = IlpEngine::new();
+    for (theta, nodes, propagations, conflicts) in [
+        (Ratio::new(3, 4), 71, 11_652, 72),
+        (Ratio::new(69, 100), 207, 36_396, 208),
+    ] {
+        let (outcome, stats) = engine
+            .refine_with_hint(&view, &SigmaSpec::Coverage, 2, theta, None)
+            .unwrap();
+        assert!(matches!(outcome, RefineOutcome::Infeasible), "θ = {theta}");
+        assert_eq!(
+            (stats.nodes, stats.propagations, stats.conflicts),
+            (nodes, propagations, conflicts),
+            "θ = {theta}"
+        );
+    }
+}
