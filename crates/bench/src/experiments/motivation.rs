@@ -4,7 +4,7 @@
 //!   matrices the paper prints to contrast σ_Cov and σ_Sim — adding a single
 //!   exotic triple halves σ_Cov but leaves σ_Sim at ≈ 1, while a diagonal
 //!   matrix drives both to ≈ 0.
-//! * **Section 2.2.1 / Duan et al. [5]**: benchmark data is "very
+//! * **Section 2.2.1 / Duan et al. \[5\]**: benchmark data is "very
 //!   relational-like" (σ_Cov close to 1) whereas real datasets sit around or
 //!   below 0.5 — the observation that motivates the whole paper.
 

@@ -759,14 +759,13 @@ fn render_status(result: &Json) -> String {
             .unwrap_or("0.0000");
         out.push_str(&format!(
             "solver: {mode} mode, {} cold / {} warm solves (seed rate {seed_rate}), \
-             {} hints repaired, {} nodes ({} propagations, {} conflicts), {} restarts\n",
+             {} hints repaired, {} nodes ({} propagations, {} conflicts)\n",
             int(&["solver", "cold_solves"]),
             int(&["solver", "warm_solves"]),
             int(&["solver", "repaired_hints"]),
             int(&["solver", "nodes"]),
             int(&["solver", "propagations"]),
             int(&["solver", "conflicts"]),
-            int(&["solver", "restarts"]),
         ));
         let wins = int(&["solver", "portfolio", "greedy"])
             + int(&["solver", "portfolio", "ilp_warm"])

@@ -22,7 +22,6 @@ pub const SPEC: ArgSpec = ArgSpec {
         "poller",
         "tenants",
         "solver",
-        "solver-restarts",
         "trace-sample",
         "trace-slow-ms",
     ],
@@ -35,8 +34,8 @@ pub const SPEC: ArgSpec = ArgSpec {
 pub const USAGE: &str = "strudel serve [--addr HOST:PORT] [--workers N] [--cache N]
              [--persist FILE] [--compact-dead N] [--fsync POLICY] [--shard I/N]
              [--follow LEADER:PORT] [--auto-promote MS] [--poller BACKEND]
-             [--tenants SPEC] [--solver MODE] [--solver-restarts N]
-             [--trace-sample N] [--trace-slow-ms MS]
+             [--tenants SPEC] [--solver MODE] [--trace-sample N]
+             [--trace-slow-ms MS]
   Runs the refinement service: line-delimited JSON over TCP driven by a
   readiness-based event loop, with a fixed-size compute pool, a
   content-addressed result cache (LRU), single-flight deduplication of
@@ -76,11 +75,9 @@ pub const USAGE: &str = "strudel serve [--addr HOST:PORT] [--workers N] [--cache
   ilp routes every solve through the exact solver core, warm-started
   from the nearest cached neighbor's solution; portfolio races greedy,
   warm ILP, and cold ILP per solve and takes the first decisive arm;
-  greedy answers heuristically only. --solver-restarts N enables Luby
-  restarts with base N conflicts (and activity branching) in the ILP
-  solver core. The status payload's 'solver' block reports cold/warm
-  solve counts, the seed hit-rate, repaired hints, nodes, propagations,
-  conflicts, restarts, and portfolio winners.
+  greedy answers heuristically only. The status payload's 'solver' block
+  reports cold/warm solve counts, the seed hit-rate, repaired hints,
+  nodes, propagations, conflicts, and portfolio winners.
   --trace-sample N records every Nth solve request as a lifecycle span
   (per-stage micros: decode, admission, cache, solve, flush) in a
   fixed-size in-memory flight recorder dumped by 'strudel client trace'
@@ -145,14 +142,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             ))
         })?;
     }
-    if let Some(base) = parsed.option_parsed::<u64>("solver-restarts")? {
-        if base == 0 {
-            return Err(CliError::Usage(
-                "--solver-restarts 0 is meaningless; omit the flag to disable restarts".to_owned(),
-            ));
-        }
-        config.solver_restarts = Some(base);
-    }
     if let Some(every) = parsed.option_parsed::<u64>("trace-sample")? {
         config.trace_sample = Some(every);
     }
@@ -215,13 +204,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         status.flight.leaders, status.flight.shared,
     ));
     out.push_str(&format!(
-        "solver: {} mode, {} cold / {} warm solves, {} hints repaired, {} nodes, {} restarts\n",
+        "solver: {} mode, {} cold / {} warm solves, {} hints repaired, {} nodes\n",
         status.solver.mode,
         status.solver.cold_solves,
         status.solver.warm_solves,
         status.solver.repaired_hints,
         status.solver.nodes,
-        status.solver.restarts,
     ));
     if let Some(persist) = &status.persist {
         out.push_str(&format!(
@@ -398,10 +386,12 @@ mod tests {
         // --auto-promote needs --follow, and has a sanity floor.
         assert!(run(&args(&["--auto-promote", "1000"])).is_err());
         assert!(run(&args(&["--follow", "127.0.0.1:1", "--auto-promote", "100"])).is_err());
-        // Solver modes are a closed set, and a zero restart base is refused.
+        // Solver modes are a closed set, and the search has no restarts.
         assert!(run(&args(&["--solver", "simplex"])).is_err());
-        assert!(run(&args(&["--solver-restarts", "0"])).is_err());
-        assert!(run(&args(&["--solver-restarts", "many"])).is_err());
+        assert!(matches!(
+            run(&args(&["--solver-restarts", "100"])),
+            Err(CliError::Usage(message)) if message.contains("unknown option")
+        ));
         // Trace knobs must be numeric.
         assert!(run(&args(&["--trace-sample", "often"])).is_err());
         assert!(run(&args(&["--trace-slow-ms", "slowish"])).is_err());

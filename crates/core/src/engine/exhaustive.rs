@@ -99,7 +99,7 @@ impl RefinementEngine for ExhaustiveEngine {
         k: usize,
         theta: Ratio,
     ) -> Result<RefineOutcome, RefineError> {
-        crate::encode::validate_inputs(view, theta, k)?;
+        let k = crate::encode::validate_inputs(view, theta, k)?;
         let signatures = view.signature_count();
         let assignments = (k as u128)
             .checked_pow(signatures.saturating_sub(1) as u32)

@@ -173,7 +173,7 @@ impl RefinementEngine for GreedyEngine {
         k: usize,
         theta: Ratio,
     ) -> Result<RefineOutcome, RefineError> {
-        crate::encode::validate_inputs(view, theta, k)?;
+        let k = crate::encode::validate_inputs(view, theta, k)?;
         let signatures = view.signature_count();
         let mut partition = Partition::new(view, spec, k);
         let deadline = self.config.time_limit.map(|limit| Instant::now() + limit);

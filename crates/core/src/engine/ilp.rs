@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use strudel_ilp::prelude::{
-    presolve, BrancherKind, SolveStats, SolveStatus, Solver, SolverConfig, VarId, WarmStart,
+    presolve, SolveStats, SolveStatus, Solver, SolverConfig, VarId, WarmStart,
 };
 use strudel_rdf::signature::SignatureView;
 use strudel_rules::eval::RoughCountTable;
@@ -19,7 +19,7 @@ use crate::sigma::SigmaSpec;
 use super::{RefineOutcome, RefinementEngine};
 
 /// Configuration of the ILP engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IlpEngineConfig {
     /// Configuration of the Section-6 encoding (symmetry breaking etc.).
     pub encoding: EncodingConfig,
@@ -27,28 +27,9 @@ pub struct IlpEngineConfig {
     /// mirroring the paper's observation that proving infeasibility can take
     /// orders of magnitude longer than finding a solution.
     pub time_limit: Option<Duration>,
-    /// Node limit per instance.
-    pub node_limit: Option<u64>,
-    /// Branching heuristic for the solver.
-    pub brancher: BrancherKind,
-    /// Luby restart base in conflicts; `None` disables restarts.
-    pub restart_conflict_base: Option<u64>,
     /// Cooperative cancellation flag forwarded to the solver (used by the
     /// portfolio engine to stop losing arms).
     pub stop: Option<Arc<AtomicBool>>,
-}
-
-impl Default for IlpEngineConfig {
-    fn default() -> Self {
-        IlpEngineConfig {
-            encoding: EncodingConfig::default(),
-            time_limit: None,
-            node_limit: None,
-            brancher: BrancherKind::InputOrder,
-            restart_conflict_base: None,
-            stop: None,
-        }
-    }
 }
 
 /// A warm-start hint at the refinement level: which sort each signature was
@@ -148,7 +129,7 @@ impl IlpEngine {
 
     /// Solves one instance warm-started from a neighboring solution,
     /// returning the solver statistics alongside the outcome so callers can
-    /// report warm-start effectiveness (nodes, restarts, repaired hints).
+    /// report warm-start effectiveness (nodes, conflicts, repaired hints).
     pub fn refine_with_hint(
         &self,
         view: &SignatureView,
@@ -181,10 +162,6 @@ impl IlpEngine {
         let warm = hint.and_then(|hint| self.warm_start_for(&encoding, view, hint));
         let solver = Solver::with_config(SolverConfig {
             time_limit: self.config.time_limit,
-            node_limit: self.config.node_limit,
-            first_solution_only: true,
-            brancher: self.config.brancher,
-            restart_conflict_base: self.config.restart_conflict_base,
             stop: self.config.stop.clone(),
         });
         let result = solver
@@ -192,11 +169,11 @@ impl IlpEngine {
             .map_err(|e| RefineError::Ilp(e.to_string()))?;
         let stats = result.stats;
         let outcome = match result.status {
-            SolveStatus::Optimal | SolveStatus::Feasible => {
+            SolveStatus::Feasible => {
                 let solution = result.solution.expect("status guarantees a solution");
                 let assignment = encoding.extract_assignment(&solution);
                 let refinement =
-                    SortRefinement::from_assignment(view, spec, theta, &assignment, k)?;
+                    SortRefinement::from_assignment(view, spec, theta, &assignment, encoding.k)?;
                 RefineOutcome::Refinement(refinement)
             }
             SolveStatus::Infeasible => RefineOutcome::Infeasible,
@@ -460,19 +437,21 @@ mod tests {
     }
 
     #[test]
-    fn a_tiny_node_limit_yields_unknown_not_a_wrong_answer() {
+    fn a_preset_stop_flag_yields_unknown_not_a_wrong_answer() {
         let view = view();
         let engine = IlpEngine::with_config(IlpEngineConfig {
-            node_limit: Some(1),
+            stop: Some(Arc::new(AtomicBool::new(true))),
             ..IlpEngineConfig::default()
         });
-        let outcome = engine
-            .refine(&view, &SigmaSpec::Similarity, 2, Ratio::new(99, 100))
-            .unwrap();
-        // With one node the solver cannot decide; it must not claim either way
-        // unless it actually proved it.
-        if let RefineOutcome::Refinement(refinement) = &outcome {
-            assert!(refinement.min_sigma() >= Ratio::new(99, 100));
-        }
+        // A search stopped before its first node cannot have found the
+        // feasible instance's refinement, and must not claim it infeasible;
+        // root propagation alone may still refute the infeasible one.
+        let refine = |theta| {
+            engine
+                .refine(&view, &SigmaSpec::Coverage, 2, theta)
+                .unwrap()
+        };
+        assert!(matches!(refine(Ratio::new(13, 20)), RefineOutcome::Unknown));
+        assert!(refine(Ratio::new(4, 5)).refinement().is_none());
     }
 }

@@ -23,9 +23,9 @@ pub use ilp::{
     hint_from_refinement, signature_identity, IlpEngine, IlpEngineConfig, RefinementHint,
 };
 pub use portfolio::{PortfolioArm, PortfolioEngine, PortfolioOutcome};
-// Re-exported so downstream crates (the server configures branchers and
-// reads solve statistics) need no direct `strudel-ilp` dependency.
-pub use strudel_ilp::prelude::{BrancherKind, SolveStats};
+// Re-exported so downstream crates (the server reads solve statistics)
+// need no direct `strudel-ilp` dependency.
+pub use strudel_ilp::prelude::SolveStats;
 
 use strudel_rdf::signature::SignatureView;
 use strudel_rules::prelude::Ratio;

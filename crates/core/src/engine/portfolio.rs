@@ -68,8 +68,6 @@ pub struct PortfolioOutcome {
 /// Races greedy / warm ILP / cold ILP inside a shared time budget.
 #[derive(Clone, Debug, Default)]
 pub struct PortfolioEngine {
-    greedy: GreedyEngine,
-    ilp: IlpEngine,
     time_limit: Option<Duration>,
 }
 
@@ -81,23 +79,10 @@ impl PortfolioEngine {
         PortfolioEngine::default()
     }
 
-    /// Creates a portfolio from explicit sub-engines.
-    pub fn with_engines(greedy: GreedyEngine, ilp: IlpEngine) -> Self {
-        PortfolioEngine {
-            greedy,
-            ilp,
-            time_limit: None,
-        }
-    }
-
     /// Sets the shared wall-clock budget for every arm.
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.time_limit = Some(limit);
         self
-    }
-
-    fn arm_budget(&self) -> Option<Duration> {
-        self.time_limit
     }
 
     /// Races the arms on one instance. `hint` enables the warm arm.
@@ -133,8 +118,8 @@ impl PortfolioEngine {
         std::thread::scope(|scope| {
             let greedy_arm = scope.spawn(|| {
                 let engine = GreedyEngine::with_config(GreedyConfig {
-                    time_limit: self.arm_budget(),
-                    ..self.greedy.config().clone()
+                    time_limit: self.time_limit,
+                    ..GreedyConfig::default()
                 });
                 declare(
                     PortfolioArm::Greedy,
@@ -144,9 +129,9 @@ impl PortfolioEngine {
             let warm_arm = run_warm.then(|| {
                 scope.spawn(|| {
                     let engine = IlpEngine::with_config(IlpEngineConfig {
-                        time_limit: self.arm_budget().or(self.ilp.config().time_limit),
+                        time_limit: self.time_limit,
                         stop: Some(Arc::clone(&warm_stop)),
-                        ..self.ilp.config().clone()
+                        ..IlpEngineConfig::default()
                     });
                     declare(
                         PortfolioArm::IlpWarm,
@@ -158,9 +143,9 @@ impl PortfolioEngine {
             });
             let cold_arm = scope.spawn(|| {
                 let engine = IlpEngine::with_config(IlpEngineConfig {
-                    time_limit: self.arm_budget().or(self.ilp.config().time_limit),
+                    time_limit: self.time_limit,
                     stop: Some(Arc::clone(&cold_stop)),
-                    ..self.ilp.config().clone()
+                    ..IlpEngineConfig::default()
                 });
                 declare(
                     PortfolioArm::IlpCold,

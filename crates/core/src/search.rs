@@ -193,8 +193,9 @@ pub fn lowest_k(
     direction: SweepDirection,
     max_k: Option<usize>,
 ) -> Result<LowestKResult, RefineError> {
-    crate::encode::validate_inputs(view, theta, 1)?;
-    let limit = max_k.unwrap_or_else(|| view.signature_count()).max(1);
+    // Feasibility is monotone in k and saturates at the signature count, so
+    // no sweep needs to probe past it.
+    let limit = crate::encode::validate_inputs(view, theta, max_k.unwrap_or(usize::MAX).max(1))?;
     let mut steps = Vec::new();
     let mut hit_budget = false;
     let mut best: Option<(usize, SortRefinement)> = None;

@@ -1,6 +1,6 @@
 //! Benchmark-like dataset generators (Section 2.2.1's motivating claim).
 //!
-//! Duan et al. [5] — the paper's starting point — showed that the synthetic
+//! Duan et al. \[5\] — the paper's starting point — showed that the synthetic
 //! datasets used by RDF benchmarks are "very relational-like and have high
 //! fitness (values of σ_Cov close to 1) with respect to their sort", whereas
 //! real datasets sit well below 0.5. To make that claim reproducible without

@@ -1,103 +1,37 @@
-//! Pluggable branching heuristics for the branch & bound search.
+//! The branching rule of the depth-first search.
 //!
-//! A [`Brancher`] decides, at each search node, which variable to branch on
-//! and in which order to try its values. The search core feeds conflicts back
-//! through [`Brancher::on_conflict`] so adaptive heuristics (activity) can
-//! learn, and announces restarts through [`Brancher::on_restart`].
-//!
-//! Three selectors ship with the crate:
-//!
-//! | brancher | group choice | value order | use |
-//! |---|---|---|---|
-//! | [`InputOrderBrancher`] | first undecided group | ascending member index | canonical trees; byte-stable solutions |
-//! | [`FirstFailBrancher`] | fewest free members | ascending member index | tightly constrained instances |
-//! | [`ActivityBrancher`] | highest conflict activity | descending member activity | restarts; conflict-heavy instances |
-//!
-//! The input-order brancher reproduces the original fixed branching rule of
-//! this solver, so with it (and no restarts) the explored tree — and thus the
-//! node count and the returned solution — is bit-for-bit the historical one.
+//! [`choose`] branches on the first undecided decision group, trying its
+//! still-possible members in declaration order. A model with no undecided
+//! group left branches on its first unfixed variable instead.
 
 use crate::engine::Engine;
-use crate::model::Model;
+use crate::model::{Model, VarId};
 
 /// A single branching decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchChoice {
+pub(crate) enum BranchChoice {
     /// Fix the variable to a value.
-    Fix {
-        /// Variable index.
-        var: usize,
-        /// Value to fix to.
-        value: i64,
-    },
+    Fix { var: usize, value: i64 },
     /// Tighten the upper bound to `value`.
-    UpperAtMost {
-        /// Variable index.
-        var: usize,
-        /// New upper bound.
-        value: i64,
-    },
+    UpperAtMost { var: usize, value: i64 },
     /// Tighten the lower bound to `value`.
-    LowerAtLeast {
-        /// Variable index.
-        var: usize,
-        /// New lower bound.
-        value: i64,
-    },
+    LowerAtLeast { var: usize, value: i64 },
 }
 
-/// A branching heuristic: chooses what to branch on at each node.
-pub trait Brancher {
-    /// Short identifier used in diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// The alternatives to try at this node, in order. Empty means every
-    /// variable is fixed (the node is a leaf).
-    fn choose(&mut self, engine: &Engine, model: &Model) -> Vec<BranchChoice>;
-
-    /// Called when a branch fails; `row` is the conflicting normalized row
-    /// when propagation identified one.
-    fn on_conflict(&mut self, _engine: &Engine, _row: Option<usize>) {}
-
-    /// Called when the search restarts from the root.
-    fn on_restart(&mut self) {}
-}
-
-/// Which brancher the solver builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BrancherKind {
-    /// Fixed input-order branching (the canonical, history-stable default).
-    #[default]
-    InputOrder,
-    /// Branch on the undecided group with the fewest remaining members.
-    FirstFail,
-    /// Branch on the group most involved in recent conflicts.
-    Activity,
-}
-
-impl BrancherKind {
-    /// Builds a fresh brancher of this kind.
-    pub fn build(self) -> Box<dyn Brancher> {
-        match self {
-            BrancherKind::InputOrder => Box::new(InputOrderBrancher),
-            BrancherKind::FirstFail => Box::new(FirstFailBrancher),
-            BrancherKind::Activity => Box::new(ActivityBrancher::new()),
+/// The alternatives to try at this node, in order. Empty means every
+/// variable is fixed (the node is a leaf).
+pub(crate) fn choose(engine: &Engine, model: &Model) -> Vec<BranchChoice> {
+    for group in model.decision_groups() {
+        if !group_is_decided(engine, group) {
+            return group_choices(engine, group);
         }
     }
-
-    /// The selector's name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BrancherKind::InputOrder => "input-order",
-            BrancherKind::FirstFail => "first-fail",
-            BrancherKind::Activity => "activity",
-        }
-    }
+    fallback_choices(engine)
 }
 
 /// The still-possible `Fix(var, 1)` alternatives of a group, or the
 /// conflict-surfacing choice when every member is forced to 0.
-fn group_choices(engine: &Engine, group: &[crate::model::VarId]) -> Vec<BranchChoice> {
+fn group_choices(engine: &Engine, group: &[VarId]) -> Vec<BranchChoice> {
     let free: Vec<BranchChoice> = group
         .iter()
         .filter(|&&var| engine.upper(var.index()) == 1)
@@ -118,7 +52,7 @@ fn group_choices(engine: &Engine, group: &[crate::model::VarId]) -> Vec<BranchCh
     }]
 }
 
-fn group_is_decided(engine: &Engine, group: &[crate::model::VarId]) -> bool {
+fn group_is_decided(engine: &Engine, group: &[VarId]) -> bool {
     group.iter().any(|&var| engine.lower(var.index()) == 1)
 }
 
@@ -148,152 +82,6 @@ fn fallback_choices(engine: &Engine) -> Vec<BranchChoice> {
     Vec::new()
 }
 
-/// Branches on the first undecided decision group, members in declaration
-/// order — exactly the original fixed branching rule of this solver.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InputOrderBrancher;
-
-impl Brancher for InputOrderBrancher {
-    fn name(&self) -> &'static str {
-        "input-order"
-    }
-
-    fn choose(&mut self, engine: &Engine, model: &Model) -> Vec<BranchChoice> {
-        for group in model.decision_groups() {
-            if !group_is_decided(engine, group) {
-                return group_choices(engine, group);
-            }
-        }
-        fallback_choices(engine)
-    }
-}
-
-/// Branches on the undecided group with the fewest free members (the most
-/// constrained decision), surfacing dead groups immediately.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FirstFailBrancher;
-
-impl Brancher for FirstFailBrancher {
-    fn name(&self) -> &'static str {
-        "first-fail"
-    }
-
-    fn choose(&mut self, engine: &Engine, model: &Model) -> Vec<BranchChoice> {
-        let mut best: Option<(usize, &[crate::model::VarId])> = None;
-        for group in model.decision_groups() {
-            if group_is_decided(engine, group) {
-                continue;
-            }
-            let free = group
-                .iter()
-                .filter(|&&var| engine.upper(var.index()) == 1)
-                .count();
-            if best.map_or(true, |(count, _)| free < count) {
-                best = Some((free, group));
-            }
-            if free == 0 {
-                break;
-            }
-        }
-        match best {
-            Some((_, group)) => group_choices(engine, group),
-            None => fallback_choices(engine),
-        }
-    }
-}
-
-/// Branches on the group whose members were most involved in recent
-/// conflicts (VSIDS-style exponentially decayed activity). Pairs naturally
-/// with restarts: activities survive a restart, so each run refocuses the
-/// top of the tree on the contended part of the instance.
-#[derive(Debug, Clone)]
-pub struct ActivityBrancher {
-    activity: Vec<f64>,
-    increment: f64,
-}
-
-const ACTIVITY_DECAY: f64 = 0.95;
-const ACTIVITY_RESCALE: f64 = 1e100;
-
-impl ActivityBrancher {
-    /// Creates a brancher with all activities at zero (ties resolve to
-    /// input order, so a conflict-free search matches [`InputOrderBrancher`]).
-    pub fn new() -> Self {
-        ActivityBrancher {
-            activity: Vec::new(),
-            increment: 1.0,
-        }
-    }
-
-    fn activity(&self, var: usize) -> f64 {
-        self.activity.get(var).copied().unwrap_or(0.0)
-    }
-}
-
-impl Default for ActivityBrancher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Brancher for ActivityBrancher {
-    fn name(&self) -> &'static str {
-        "activity"
-    }
-
-    fn choose(&mut self, engine: &Engine, model: &Model) -> Vec<BranchChoice> {
-        let mut best: Option<(f64, &[crate::model::VarId])> = None;
-        for group in model.decision_groups() {
-            if group_is_decided(engine, group) {
-                continue;
-            }
-            let score: f64 = group.iter().map(|&var| self.activity(var.index())).sum();
-            // Strict `>` keeps ties on the earliest group, preserving input
-            // order until conflicts differentiate the groups.
-            if best.map_or(true, |(top, _)| score > top) {
-                best = Some((score, group));
-            }
-        }
-        let Some((_, group)) = best else {
-            return fallback_choices(engine);
-        };
-        let mut choices = group_choices(engine, group);
-        // Try the most active members first; stable sort keeps declaration
-        // order among equally active members.
-        choices.sort_by(|a, b| {
-            let score = |choice: &BranchChoice| match *choice {
-                BranchChoice::Fix { var, .. }
-                | BranchChoice::UpperAtMost { var, .. }
-                | BranchChoice::LowerAtLeast { var, .. } => self.activity(var),
-            };
-            score(b).partial_cmp(&score(a)).expect("finite activities")
-        });
-        choices
-    }
-
-    fn on_conflict(&mut self, engine: &Engine, row: Option<usize>) {
-        let Some(row) = row else { return };
-        let terms: Vec<usize> = engine.row_terms(row).iter().map(|&(var, _)| var).collect();
-        let max_var = match terms.iter().max() {
-            Some(&var) => var,
-            None => return,
-        };
-        if self.activity.len() <= max_var {
-            self.activity.resize(max_var + 1, 0.0);
-        }
-        for var in terms {
-            self.activity[var] += self.increment;
-        }
-        self.increment /= ACTIVITY_DECAY;
-        if self.increment > ACTIVITY_RESCALE {
-            for value in &mut self.activity {
-                *value /= ACTIVITY_RESCALE;
-            }
-            self.increment /= ACTIVITY_RESCALE;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,53 +106,12 @@ mod tests {
     #[test]
     fn input_order_picks_first_group_ascending() {
         let model = group_model();
-        let engine = Engine::new(&model).unwrap();
-        let choices = InputOrderBrancher.choose(&Engine::new(&model).unwrap(), &model);
+        let choices = choose(&Engine::new(&model).unwrap(), &model);
         assert_eq!(
             choices,
             vec![
                 BranchChoice::Fix { var: 0, value: 1 },
                 BranchChoice::Fix { var: 1, value: 1 },
-            ]
-        );
-        drop(engine);
-    }
-
-    #[test]
-    fn first_fail_prefers_smaller_groups() {
-        let model = group_model();
-        let mut engine = Engine::new(&model).unwrap();
-        // Shrink the third group (vars 4, 5) to a single free member.
-        engine.set_upper(4, 0).unwrap();
-        let choices = FirstFailBrancher.choose(&engine, &model);
-        assert_eq!(choices, vec![BranchChoice::Fix { var: 5, value: 1 }]);
-    }
-
-    #[test]
-    fn activity_without_conflicts_matches_input_order() {
-        let model = group_model();
-        let engine = Engine::new(&model).unwrap();
-        assert_eq!(
-            ActivityBrancher::new().choose(&engine, &model),
-            InputOrderBrancher.choose(&engine, &model)
-        );
-    }
-
-    #[test]
-    fn activity_reorders_after_conflicts() {
-        let model = group_model();
-        let engine = Engine::new(&model).unwrap();
-        let mut brancher = ActivityBrancher::new();
-        // Credit the second group's equality row (row 2·1=2? rows: Eq emits
-        // two rows per constraint → constraint 1's rows are 2 and 3).
-        brancher.on_conflict(&engine, Some(2));
-        brancher.on_conflict(&engine, Some(2));
-        let choices = brancher.choose(&engine, &model);
-        assert_eq!(
-            choices,
-            vec![
-                BranchChoice::Fix { var: 2, value: 1 },
-                BranchChoice::Fix { var: 3, value: 1 },
             ]
         );
     }
@@ -374,7 +121,7 @@ mod tests {
         let mut model = Model::new();
         let _x = model.add_integer("x", 0, 10);
         let engine = Engine::new(&model).unwrap();
-        let choices = InputOrderBrancher.choose(&engine, &model);
+        let choices = choose(&engine, &model);
         assert_eq!(
             choices,
             vec![

@@ -37,10 +37,7 @@ use crate::model::{Cmp, Model};
 
 /// A conflict: the current bounds cannot be extended to a feasible solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Conflict {
-    /// Index of the normalized row that became infeasible, if known.
-    pub row: Option<usize>,
-}
+pub struct Conflict;
 
 /// A normalized row `Σ aᵢ·xᵢ ≤ rhs`.
 #[derive(Debug, Clone)]
@@ -241,17 +238,6 @@ impl Engine {
         self.lower.len()
     }
 
-    /// The `(variable, coefficient)` terms of a normalized row. Branchers
-    /// use this to credit the variables of a conflicting row.
-    pub fn row_terms(&self, row: usize) -> &[(usize, i64)] {
-        &self.rows[row].terms
-    }
-
-    /// The current decision depth (number of open levels).
-    pub fn level(&self) -> usize {
-        self.level_marks.len()
-    }
-
     /// Opens a new decision level.
     pub fn push_level(&mut self) {
         self.level_marks.push(self.trail.len());
@@ -298,7 +284,7 @@ impl Engine {
             return Ok(());
         }
         if value > self.upper[var] {
-            return Err(Conflict { row: None });
+            return Err(Conflict);
         }
         let old = self.lower[var];
         self.trail.push(TrailEntry::Lower { var, old });
@@ -324,7 +310,7 @@ impl Engine {
             return Ok(());
         }
         if value < self.lower[var] {
-            return Err(Conflict { row: None });
+            return Err(Conflict);
         }
         let old = self.upper[var];
         self.trail.push(TrailEntry::Upper { var, old });
@@ -373,7 +359,7 @@ impl Engine {
         let min_activity = self.min_activity[row_idx];
         let rhs = self.rows[row_idx].rhs;
         if min_activity > rhs {
-            return Err(Conflict { row: Some(row_idx) });
+            return Err(Conflict);
         }
         if rhs - min_activity >= self.rows[row_idx].reach {
             return Ok(());

@@ -5,8 +5,8 @@ use std::fmt;
 /// Errors raised while building or solving a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IlpError {
-    /// A constraint or objective references a variable not belonging to the
-    /// model being solved.
+    /// A constraint references a variable not belonging to the model being
+    /// solved.
     UnknownVariable {
         /// The out-of-range variable index.
         index: usize,

@@ -6,43 +6,45 @@
 //! Schemas"* (Arenas et al., VLDB 2014) to solve its sort-refinement
 //! instances.
 //!
+//! The paper's instances only ask whether a feasible assignment exists, so
+//! the solver answers exactly that: it branches on the first undecided
+//! decision group in input order, propagates, and stops at the first
+//! assignment that satisfies every constraint.
+//!
 //! Components:
 //!
 //! * [`model`] — model builder: bounded integer variables, linear
-//!   constraints, optional objective, and *decision groups* (branching hints
-//!   for assignment-shaped problems such as the paper's `X_{i,µ}` variables),
+//!   constraints, and *decision groups* (branching hints for
+//!   assignment-shaped problems such as the paper's `X_{i,µ}` variables),
 //! * [`presolve`] — cheap solution-preserving reductions,
 //! * [`engine`] — normalized rows, backtrackable bounds, and event-driven
 //!   integer bound propagation (rows watch the bound events that can raise
 //!   their minimum activity),
-//! * [`brancher`] — pluggable branching heuristics (input-order, first-fail,
-//!   conflict activity),
-//! * [`search`] — the depth-first search loop: Luby-scheduled restarts and
-//!   [`search::WarmStart`] hints from prior solutions,
-//! * [`solver`] — the facade: configuration, `solve`, and `solve_with_hint`
-//!   with incumbent-based objective bounding.
+//! * [`search`] — the depth-first search loop, and [`search::WarmStart`]
+//!   hints from prior solutions that reorder the values it tries,
+//! * [`solver`] — the facade: configuration, `solve`, and `solve_with_hint`.
 //!
 //! ## Example
 //!
 //! ```
 //! use strudel_ilp::prelude::*;
 //!
-//! // maximize 3x + 4y  s.t.  2x + 3y ≤ 5,  x, y ∈ {0, 1}
+//! // Is there x, y ∈ {0, 1} with 2x + 3y ≤ 5 and 3x + 4y ≥ 7?
 //! let mut model = Model::new();
 //! let x = model.add_binary("x");
 //! let y = model.add_binary("y");
 //! model.add_constraint("capacity", LinExpr::new().plus(2, x).plus(3, y), Cmp::Le, 5);
-//! model.set_objective(Sense::Maximize, LinExpr::new().plus(3, x).plus(4, y));
+//! model.add_constraint("value", LinExpr::new().plus(3, x).plus(4, y), Cmp::Ge, 7);
 //!
 //! let result = Solver::new().solve(&model).unwrap();
-//! assert_eq!(result.status, SolveStatus::Optimal);
-//! assert_eq!(result.objective, Some(7));
+//! assert_eq!(result.status, SolveStatus::Feasible);
+//! assert_eq!(result.solution, Some(vec![1, 1]));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod brancher;
+mod brancher;
 pub mod engine;
 pub mod error;
 pub mod model;
@@ -53,11 +55,10 @@ pub mod solver;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::brancher::{BranchChoice, Brancher, BrancherKind};
     pub use crate::error::IlpError;
-    pub use crate::model::{Cmp, Constraint, LinExpr, Model, Objective, Sense, VarDef, VarId};
+    pub use crate::model::{Cmp, Constraint, LinExpr, Model, VarDef, VarId};
     pub use crate::presolve::{presolve, PresolveReport};
-    pub use crate::search::{luby, WarmStart};
+    pub use crate::search::WarmStart;
     pub use crate::solution::{SolveResult, SolveStats, SolveStatus};
     pub use crate::solver::{Solver, SolverConfig};
 }

@@ -3,11 +3,12 @@
 //! The paper solves the sort-refinement decision problem by handing an ILP
 //! instance `(A, b)` over 0/1 variables to a commercial solver (CPLEX). This
 //! crate is the stand-in for that solver, so the model layer stays close to
-//! what such solvers accept: integer variables with bounds, linear
-//! constraints with `≤ / ≥ / =` comparisons, an optional linear objective,
-//! plus *decision groups* — a branching hint declaring that a set of binary
-//! variables encodes a single "pick one of k" decision (the `X_{i,µ}`
-//! variables of the encoding).
+//! what such solvers accept: integer variables with bounds and linear
+//! constraints with `≤ / ≥ / =` comparisons, plus *decision groups* — a
+//! branching hint declaring that a set of binary variables encodes a single
+//! "pick one of k" decision (the `X_{i,µ}` variables of the encoding). The
+//! paper's instances only ask whether a feasible assignment exists, so a
+//! model has no objective.
 
 use std::fmt;
 
@@ -152,30 +153,11 @@ impl Constraint {
     }
 }
 
-/// Optimization sense.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Sense {
-    /// Minimize the objective.
-    Minimize,
-    /// Maximize the objective.
-    Maximize,
-}
-
-/// A linear objective.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Objective {
-    /// Whether to minimize or maximize.
-    pub sense: Sense,
-    /// The objective expression.
-    pub expr: LinExpr,
-}
-
 /// An integer linear program.
 #[derive(Clone, Default, Debug)]
 pub struct Model {
     pub(crate) vars: Vec<VarDef>,
     pub(crate) constraints: Vec<Constraint>,
-    pub(crate) objective: Option<Objective>,
     pub(crate) decision_groups: Vec<Vec<VarId>>,
 }
 
@@ -233,12 +215,6 @@ impl Model {
         self.decision_groups.push(vars);
     }
 
-    /// Sets the objective.
-    pub fn set_objective(&mut self, sense: Sense, mut expr: LinExpr) {
-        expr.normalize();
-        self.objective = Some(Objective { sense, expr });
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.vars.len()
@@ -257,11 +233,6 @@ impl Model {
     /// The constraints.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
-    }
-
-    /// The objective, if any.
-    pub fn objective(&self) -> Option<&Objective> {
-        self.objective.as_ref()
     }
 
     /// The declared decision groups.

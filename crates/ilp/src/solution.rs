@@ -5,22 +5,13 @@ use std::time::Duration;
 /// The status reported by a solve call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SolveStatus {
-    /// A solution was found and proven optimal (or the model is a pure
-    /// feasibility problem and a solution was found).
-    Optimal,
-    /// A solution was found but optimality was not proven (e.g. a limit hit).
+    /// An assignment satisfying every constraint was found.
     Feasible,
     /// The model was proven infeasible.
     Infeasible,
-    /// No conclusion: a time or node limit was reached without a solution.
+    /// No conclusion: the time limit or the stop flag cut the search short
+    /// before it found a solution.
     Unknown,
-}
-
-impl SolveStatus {
-    /// Whether a solution is available.
-    pub fn has_solution(self) -> bool {
-        matches!(self, SolveStatus::Optimal | SolveStatus::Feasible)
-    }
 }
 
 /// A (partial) result of solving a model.
@@ -28,17 +19,14 @@ impl SolveStatus {
 pub struct SolveResult {
     /// The outcome status.
     pub status: SolveStatus,
-    /// The best assignment found (indexed by `VarId::index()`), if any.
+    /// The assignment found (indexed by `VarId::index()`), if any.
     pub solution: Option<Vec<i64>>,
-    /// The objective value of the best assignment, if the model had an
-    /// objective and a solution was found.
-    pub objective: Option<i128>,
     /// Search statistics.
     pub stats: SolveStats,
 }
 
 impl SolveResult {
-    /// The value of a variable in the best solution.
+    /// The value of a variable in the solution.
     ///
     /// # Panics
     /// Panics if no solution is available.
@@ -47,17 +35,15 @@ impl SolveResult {
     }
 }
 
-/// Statistics accumulated during branch & bound.
+/// Statistics accumulated during the search.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SolveStats {
-    /// Number of branch-and-bound nodes explored.
+    /// Number of search nodes explored.
     pub nodes: u64,
     /// Number of individual bound tightenings performed by propagation.
     pub propagations: u64,
     /// Number of conflicts (pruned subtrees).
     pub conflicts: u64,
-    /// Number of times the search restarted from the root.
-    pub restarts: u64,
     /// Number of variables covered by the warm-start hint (0 = cold solve).
     pub hint_vars: u64,
     /// Number of hinted variables whose final value differs from the hint —
@@ -71,12 +57,31 @@ pub struct SolveStats {
 mod tests {
     use super::*;
 
+    /// A solve carries a solution exactly when its status is `Feasible`.
     #[test]
     fn status_solution_availability() {
-        assert!(SolveStatus::Optimal.has_solution());
-        assert!(SolveStatus::Feasible.has_solution());
-        assert!(!SolveStatus::Infeasible.has_solution());
-        assert!(!SolveStatus::Unknown.has_solution());
+        use crate::model::{Cmp, LinExpr, Model};
+        use crate::solver::{Solver, SolverConfig};
+
+        let at_least = |total: i64| {
+            let mut model = Model::new();
+            let x = model.add_binary("x");
+            model.add_constraint("x", LinExpr::new().plus(1, x), Cmp::Ge, total);
+            model
+        };
+        let stopped = Solver::with_config(SolverConfig {
+            stop: Some(std::sync::Arc::new(true.into())),
+            ..SolverConfig::default()
+        });
+        for (result, status) in [
+            (Solver::new().solve(&at_least(1)), SolveStatus::Feasible),
+            (Solver::new().solve(&at_least(2)), SolveStatus::Infeasible),
+            (stopped.solve(&at_least(1)), SolveStatus::Unknown),
+        ] {
+            let result = result.unwrap();
+            assert_eq!(result.status, status);
+            assert_eq!(result.solution.is_some(), status == SolveStatus::Feasible);
+        }
     }
 
     #[test]
@@ -85,7 +90,6 @@ mod tests {
         let result = SolveResult {
             status: SolveStatus::Infeasible,
             solution: None,
-            objective: None,
             stats: SolveStats::default(),
         };
         result.value(crate::model::VarId(0));

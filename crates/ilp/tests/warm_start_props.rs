@@ -3,16 +3,13 @@
 //!
 //! The invariants:
 //!
-//! * the solver agrees with brute-force enumeration about feasibility and,
-//!   when an objective is present, about the optimal value,
+//! * the solver agrees with brute-force enumeration about feasibility, and
+//!   about the best value of an objective asked as a floor: a floor at the
+//!   best value is feasible and one above it is not,
 //! * presolve and decision groups never change an answer,
 //! * a warm solve — seeded with an *arbitrary* hint, correct, stale, or
-//!   nonsensical — reaches exactly the same status and objective value as
-//!   the cold solve of the same model (hints reorder the search, they never
-//!   remove answers),
-//! * that equivalence holds across every brancher and with restarts on,
-//! * restart schedules are deterministic: re-running a restarting solve
-//!   reproduces its node/conflict/restart counts exactly,
+//!   nonsensical — reaches exactly the same status as the cold solve of the
+//!   same model (hints reorder the search, they never remove answers),
 //! * the propagation engine reaches the same fixpoint as a reference that
 //!   rescans every row, and backtracking restores the bounds exactly.
 
@@ -20,21 +17,10 @@ use strudel_ilp::engine::Engine;
 use strudel_ilp::prelude::*;
 use strudel_rdf::rng::StdRng;
 
-/// A random binary model with an objective: 3–6 variables, 1–4 constraints
-/// with small coefficients — large enough to branch, small enough that a
-/// full optimization finishes instantly.
+/// A random binary feasibility model: 3–6 variables, 1–4 constraints with
+/// small coefficients — large enough to branch, small enough that brute
+/// force finishes instantly.
 fn random_model(rng: &mut StdRng) -> (Model, Vec<VarId>) {
-    let (mut model, vars) = random_feasibility_model(rng);
-    let mut objective = LinExpr::new();
-    for &var in &vars {
-        objective.add_term(rng.gen_range(0..7usize) as i64 - 3, var);
-    }
-    model.set_objective(Sense::Maximize, objective);
-    (model, vars)
-}
-
-/// The constraints of [`random_model`] alone: a pure feasibility model.
-fn random_feasibility_model(rng: &mut StdRng) -> (Model, Vec<VarId>) {
     let num_vars = rng.gen_range(3..7usize);
     let num_constraints = rng.gen_range(1..5usize);
     let mut model = Model::new();
@@ -61,27 +47,45 @@ fn random_feasibility_model(rng: &mut StdRng) -> (Model, Vec<VarId>) {
     (model, vars)
 }
 
-/// Half optimization models, half feasibility models.
-fn random_model_of_either_kind(rng: &mut StdRng) -> Model {
-    if rng.gen_bool(0.5) {
-        random_model(rng).0
-    } else {
-        random_feasibility_model(rng).0
+/// A random objective over `vars`, with coefficients in −3..=3.
+fn random_objective(rng: &mut StdRng, vars: &[VarId]) -> LinExpr {
+    let mut objective = LinExpr::new();
+    for &var in vars {
+        objective.add_term(rng.gen_range(0..7usize) as i64 - 3, var);
     }
+    objective
 }
 
-/// Brute force: enumerates all 2^n assignments and returns the best
-/// feasible objective (0 for a feasible model without one), or `None` when
-/// nothing is feasible.
-fn brute_force(model: &Model) -> Option<i128> {
+/// `model` with `objective ≥ floor` added.
+fn with_floor(model: &Model, objective: &LinExpr, floor: i128) -> Model {
+    let mut floored = model.clone();
+    let floor = i64::try_from(floor).expect("small objectives");
+    floored.add_constraint("floor", objective.clone(), Cmp::Ge, floor);
+    floored
+}
+
+/// Half bare models, half models with a random objective floored at a
+/// value drawn around its range.
+fn random_model_of_either_kind(rng: &mut StdRng) -> Model {
+    let (model, vars) = random_model(rng);
+    if rng.gen_bool(0.5) {
+        return model;
+    }
+    let objective = random_objective(rng, &vars);
+    let floor = rng.gen_range(0..9usize) as i128 - 4;
+    with_floor(&model, &objective, floor)
+}
+
+/// Brute force: enumerates all 2^n assignments and returns the best value
+/// of `objective` over the feasible ones, or `None` when nothing is
+/// feasible.
+fn brute_force(model: &Model, objective: &LinExpr) -> Option<i128> {
     let n = model.num_vars();
     let mut best: Option<i128> = None;
     for mask in 0u64..(1 << n) {
         let assignment: Vec<i64> = (0..n).map(|bit| ((mask >> bit) & 1) as i64).collect();
         if model.check_assignment(&assignment).is_ok() {
-            let value = model
-                .objective()
-                .map_or(0, |objective| objective.expr.evaluate(&assignment));
+            let value = objective.evaluate(&assignment);
             best = Some(best.map_or(value, |current| current.max(value)));
         }
     }
@@ -100,23 +104,38 @@ fn random_hint(rng: &mut StdRng, vars: &[VarId]) -> WarmStart {
     WarmStart::from_values(values)
 }
 
+/// The solver's status, after checking that a returned solution satisfies
+/// the model.
+fn status(model: &Model, hint: Option<&WarmStart>, context: &str) -> SolveStatus {
+    let result = Solver::new().solve_with_hint(model, hint).expect("solve");
+    if let Some(solution) = &result.solution {
+        assert!(model.check_assignment(solution).is_ok(), "{context}");
+    }
+    result.status
+}
+
 #[test]
 fn solver_matches_brute_force() {
     const SEED: u64 = 0xb4f7;
     let mut rng = StdRng::seed_from_u64(SEED);
     for case in 0..128 {
-        let model = random_model_of_either_kind(&mut rng);
-        let context = format!("seed {SEED:#x} case {case}: {model:?}");
-        let result = Solver::new().solve(&model).expect("solve");
-        let Some(best) = brute_force(&model) else {
-            assert_eq!(result.status, SolveStatus::Infeasible, "{context}");
+        let (model, vars) = random_model(&mut rng);
+        let objective = random_objective(&mut rng, &vars);
+        let context = format!("seed {SEED:#x} case {case}: {objective:?} on {model:?}");
+        let Some(best) = brute_force(&model, &objective) else {
+            let answer = status(&model, None, &context);
+            assert_eq!(answer, SolveStatus::Infeasible, "{context}");
             continue;
         };
-        assert_eq!(result.status, SolveStatus::Optimal, "{context}");
-        let solution = result.solution.as_ref().expect("solution present");
-        assert!(model.check_assignment(solution).is_ok(), "{context}");
-        if model.objective().is_some() {
-            assert_eq!(result.objective, Some(best), "{context}");
+        let answer = status(&model, None, &context);
+        assert_eq!(answer, SolveStatus::Feasible, "{context}");
+        // A floor at the best value is feasible, and one above it is not.
+        for (floor, expected) in [
+            (best, SolveStatus::Feasible),
+            (best + 1, SolveStatus::Infeasible),
+        ] {
+            let answer = status(&with_floor(&model, &objective, floor), None, &context);
+            assert_eq!(answer, expected, "{context}: floor {floor}");
         }
     }
 }
@@ -128,13 +147,9 @@ fn presolve_preserves_answers() {
     for case in 0..128 {
         let mut model = random_model_of_either_kind(&mut rng);
         let context = format!("seed {SEED:#x} case {case}: {model:?}");
-        let before = Solver::new().solve(&model).expect("solve before presolve");
+        let before = status(&model, None, &context);
         presolve(&mut model);
-        let after = Solver::new().solve(&model).expect("solve after presolve");
-        assert_eq!(before.status, after.status, "{context}");
-        if model.objective().is_some() && before.status.has_solution() {
-            assert_eq!(before.objective, after.objective, "{context}");
-        }
+        assert_eq!(before, status(&model, None, &context), "{context}");
     }
 }
 
@@ -170,112 +185,39 @@ fn decision_groups_do_not_change_answers() {
         for row in rows {
             grouped.add_decision_group(row);
         }
-        let status = |model: &Model| Solver::new().solve(model).expect("solve").status;
+        let context = format!("seed {SEED:#x} case {case}: {plain:?}");
         assert_eq!(
-            status(&plain),
-            status(&grouped),
-            "seed {SEED:#x} case {case}: {plain:?}"
+            status(&plain, None, &context),
+            status(&grouped, None, &context),
+            "{context}"
         );
     }
 }
 
+/// Every objective floor of a random model gets the same answer warm and
+/// cold: the floor at the best value (feasible), one above it
+/// (infeasible), and one drawn at random.
 #[test]
 fn warm_and_cold_solves_agree_on_every_objective() {
     let mut rng = StdRng::seed_from_u64(0x5742_4d53); // "WBMS"
-    for _ in 0..60 {
+    for case in 0..60 {
         let (model, vars) = random_model(&mut rng);
-        let cold = Solver::new().solve(&model).expect("cold solve");
-        let hint = random_hint(&mut rng, &vars);
-        let warm = Solver::new()
-            .solve_with_hint(&model, Some(&hint))
-            .expect("warm solve");
-        assert_eq!(cold.status, warm.status, "status diverged on {model:?}");
-        assert_eq!(
-            cold.objective,
-            warm.objective,
-            "objective diverged under hint {:?} on {model:?}",
-            hint.values()
-        );
-        if let Some(solution) = &warm.solution {
-            model.check_assignment(solution).expect("warm solution");
+        let objective = random_objective(&mut rng, &vars);
+        let best = brute_force(&model, &objective).unwrap_or(0);
+        let drawn = rng.gen_range(0..9usize) as i128 - 4;
+        for floor in [best, best + 1, drawn] {
+            let floored = with_floor(&model, &objective, floor);
+            let hint = random_hint(&mut rng, &vars);
+            let context = format!(
+                "case {case}: floor {floor} under hint {:?} on {floored:?}",
+                hint.values()
+            );
+            assert_eq!(
+                status(&floored, None, &context),
+                status(&floored, Some(&hint), &context),
+                "{context}"
+            );
         }
-    }
-}
-
-#[test]
-fn every_brancher_reaches_the_same_objective_warm_or_cold() {
-    let mut rng = StdRng::seed_from_u64(0xb7a9);
-    for _ in 0..25 {
-        let (model, vars) = random_model(&mut rng);
-        let reference = Solver::new().solve(&model).expect("reference solve");
-        let hint = random_hint(&mut rng, &vars);
-        for brancher in [
-            BrancherKind::InputOrder,
-            BrancherKind::FirstFail,
-            BrancherKind::Activity,
-        ] {
-            for restarts in [None, Some(2)] {
-                let solver = Solver::with_config(SolverConfig {
-                    brancher,
-                    restart_conflict_base: restarts,
-                    ..SolverConfig::default()
-                });
-                let result = solver
-                    .solve_with_hint(&model, Some(&hint))
-                    .expect("configured solve");
-                assert_eq!(
-                    reference.status, result.status,
-                    "status diverged for {brancher:?}/restarts {restarts:?}"
-                );
-                assert_eq!(
-                    reference.objective, result.objective,
-                    "objective diverged for {brancher:?}/restarts {restarts:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn restart_schedules_are_deterministic() {
-    let mut rng = StdRng::seed_from_u64(0x1b);
-    for _ in 0..20 {
-        let (model, vars) = random_model(&mut rng);
-        let hint = random_hint(&mut rng, &vars);
-        let solve = || {
-            Solver::with_config(SolverConfig {
-                brancher: BrancherKind::Activity,
-                restart_conflict_base: Some(1),
-                ..SolverConfig::default()
-            })
-            .solve_with_hint(&model, Some(&hint))
-            .expect("restarting solve")
-        };
-        let first = solve();
-        let second = solve();
-        assert_eq!(first.status, second.status);
-        assert_eq!(first.objective, second.objective);
-        assert_eq!(first.solution, second.solution);
-        assert_eq!(first.stats.nodes, second.stats.nodes);
-        assert_eq!(first.stats.conflicts, second.stats.conflicts);
-        assert_eq!(first.stats.restarts, second.stats.restarts);
-        assert_eq!(first.stats.propagations, second.stats.propagations);
-    }
-}
-
-/// The Luby sequence itself is pure: the same run index always yields the
-/// same budget multiplier, and the sequence restarts its doubling pattern
-/// exactly where MiniSat's reference implementation does.
-#[test]
-fn luby_is_reproducible_across_interleavings() {
-    let mut rng = StdRng::seed_from_u64(7);
-    // Query in shuffled order; the answers must match the in-order pass.
-    let mut order: Vec<u64> = (1..64).collect();
-    let reference: Vec<u64> = order.iter().map(|&i| luby(i)).collect();
-    rng.shuffle(&mut order);
-    for (position, &i) in order.iter().enumerate() {
-        let _ = position;
-        assert_eq!(luby(i), reference[(i - 1) as usize]);
     }
 }
 

@@ -2,7 +2,7 @@
 //! counters, plus the persistent segment store that makes it survive
 //! restarts.
 //!
-//! The server keys this cache by [`CacheKey`](crate::protocol::CacheKey) —
+//! The server keys this cache by [`CacheKey`] —
 //! the view's content hash plus the canonical parameter string — and stores
 //! the *serialized* result text (an `Arc<String>`), so a cache hit replays
 //! the original response bytes without re-encoding, let alone re-solving,

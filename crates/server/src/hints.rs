@@ -121,8 +121,6 @@ pub struct SolveTelemetry {
     pub propagations: u64,
     /// Search conflicts — dead ends that forced a backtrack.
     pub conflicts: u64,
-    /// Restarts performed.
-    pub restarts: u64,
     /// Winning portfolio arm name, when the portfolio raced.
     pub winner: Option<&'static str>,
     /// Exported solution for the neighbor index, on a successful `refine`.

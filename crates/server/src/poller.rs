@@ -313,7 +313,7 @@ pub fn open(kind: PollerKind, counters: Arc<PollerCounters>) -> io::Result<Box<d
 // ─── Scan backend ───────────────────────────────────────────────────────
 
 /// The portable fallback: no kernel queue, so `wait` sleeps on a parked
-/// thread (woken early by [`ScanWaker`]) and then reports every registered
+/// thread (woken early by `ScanWaker`) and then reports every registered
 /// fd as ready per its interest. Callers built on non-blocking I/O treat
 /// the report as *maybe ready* and fall through `WouldBlock` — exactly
 /// what the pre-trait event loop did each sweep.

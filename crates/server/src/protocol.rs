@@ -643,14 +643,26 @@ fn decode_solve(value: &Json, op: SolveOp) -> Result<Request, ProtocolError> {
 }
 
 /// A non-positive step would keep the highest-theta sweep at the same
-/// threshold forever; refuse before a worker is committed. Shared by both
-/// framings' decoders.
+/// threshold forever, and a tiny one records a probe per step from σ(D)
+/// up to 1, which grows a worker's memory without bound. A step of at
+/// least 1/10000 allows at most 10 001 probes (the paper's grid is 1/100).
+/// Refuse either before a worker is committed. Shared by both framings'
+/// decoders.
 fn require_positive_step(step: Option<Ratio>) -> Result<(), ProtocolError> {
     if let Some(step) = step {
         if step <= Ratio::ZERO {
             return Err(ProtocolError::new(
                 "'step' must be strictly positive (e.g. \"1/100\")",
             ));
+        }
+        // step < 1/10000, cross-multiplied without overflow: a numerator
+        // past i128::MAX / 10000 is a step of at least 1/10000.
+        if step
+            .numer()
+            .checked_mul(10_000)
+            .is_some_and(|n| n < step.denom())
+        {
+            return Err(ProtocolError::new("'step' must be at least 1/10000"));
         }
     }
     Ok(())
@@ -2008,6 +2020,25 @@ mod tests {
                 "step {step}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn tiny_steps_are_rejected_at_decode() {
+        let view_json = view_to_json(&sample_view()).to_text();
+        let line = |step: &str| {
+            format!("{{\"op\":\"highest-theta\",\"view\":{view_json},\"k\":2,\"step\":\"{step}\"}}")
+        };
+        for step in ["1/10001", "1/1000000000000", "0.00001"] {
+            let err = decode_request(&line(step)).unwrap_err();
+            assert_eq!(
+                err.message, "'step' must be at least 1/10000",
+                "step {step}"
+            );
+        }
+        assert!(decode_request(&line("1/10000")).is_ok());
+        // A numerator too large to scale by 10000 is a coarse step, not an
+        // overflow on the event-loop thread.
+        assert!(decode_request(&line("170141183460469231731687303715884105727")).is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shard-aware client routing: one connection per shard, requests routed
 //! by consistent hash of their cache key, with standby fail-over.
 //!
-//! The client stack is two layers. [`Client`](crate::client::Client) is the
+//! The client stack is two layers. [`Client`] is the
 //! transport: one socket, one line each way, deadlines on every operation.
 //! [`Router`] sits above it and owns one *endpoint set* per shard of a
 //! cluster — a primary plus any standbys, written `primary+standby` in the

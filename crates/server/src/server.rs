@@ -37,7 +37,7 @@
 //! of order.
 //!
 //! **Batching.** One line may carry a batch envelope (see
-//! [`protocol`](crate::protocol)); elements share the line's framing and a
+//! [`protocol`]); elements share the line's framing and a
 //! single write-out, and each element runs the cache/single-flight path
 //! independently, so a mixed batch serves its hits immediately while its
 //! misses solve.
@@ -46,7 +46,7 @@
 //! written through to an append-only file and every eviction tombstoned;
 //! startup replays the file so a restarted server answers previously-cached
 //! requests byte-identically without recomputing (see
-//! [`SegmentStore`](crate::cache::SegmentStore)).
+//! [`SegmentStore`]).
 //!
 //! The solve path serializes a result exactly once; every later identical
 //! request — concurrent (single-flight), subsequent (cache), or in a later
@@ -62,8 +62,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use strudel_core::engine::{
-    hint_from_refinement, BrancherKind, GreedyConfig, GreedyEngine, IlpEngine, IlpEngineConfig,
-    PortfolioArm, PortfolioEngine, RefineOutcome, RefinementHint, SolveStats,
+    hint_from_refinement, IlpEngine, IlpEngineConfig, PortfolioArm, PortfolioEngine, RefineOutcome,
+    RefinementHint, SolveStats,
 };
 use strudel_core::prelude::{
     highest_theta, lowest_k, HighestThetaOptions, RefinementEngine, SweepDirection,
@@ -84,8 +84,8 @@ use crate::pool::WorkerPool;
 use crate::protocol::{
     self, encode_error, encode_frame_header, encode_hello_ok, encode_not_leader, encode_over_quota,
     encode_success, encode_success_parts, encode_wrong_shard, try_decode_frame, CacheKey, Decoded,
-    FrameKind, FrameView, Framing, NotLeader, OverQuota, Request, ShardRing, ShardSpec, SolveOp,
-    SolveRequest, Source, WrongShard, DEFAULT_TENANT,
+    EngineKind, FrameKind, FrameView, Framing, NotLeader, OverQuota, Request, ShardRing, ShardSpec,
+    SolveOp, SolveRequest, Source, WrongShard, DEFAULT_TENANT,
 };
 use crate::replica::{self, FollowerConfig, FollowerHost, ReplState, ReplStatus, ReplicaHub};
 use crate::tenant::{TenantCounters, TenantRegistry, TenantSpecSet};
@@ -140,11 +140,6 @@ pub struct ServerConfig {
     /// warm-start solves from the nearest cached neighbor (see
     /// [`SolverMode`] and [`crate::hints`]).
     pub solver: SolverMode,
-    /// Luby restart base in conflicts for the ILP solver core
-    /// (`serve --solver-restarts`); `None` disables restarts. Enabling
-    /// restarts also switches branching to the activity heuristic —
-    /// restarting an input-order search would replay the identical tree.
-    pub solver_restarts: Option<u64>,
     /// Trace-sampling divisor (`serve --trace-sample N`): every Nth solve
     /// request is recorded as a flight-recorder span; 0 disables sampling.
     /// `None` consults the `STRUDEL_TRACE_SAMPLE` environment override (the
@@ -172,7 +167,6 @@ impl Default for ServerConfig {
             poller: None,
             tenants: None,
             solver: SolverMode::default(),
-            solver_restarts: None,
             trace_sample: None,
             trace_slow_ms: None,
         }
@@ -236,8 +230,6 @@ struct Shared {
     completions: Arc<Mutex<Vec<Completion>>>,
     /// Miss-path solver strategy (`--solver`).
     solver: SolverMode,
-    /// Luby restart base for the ILP solver core (`--solver-restarts`).
-    solver_restarts: Option<u64>,
     /// The observability surface: span sampling, stage histograms, and the
     /// flight recorder (`--trace-sample` / `--trace-slow-ms`).
     observe: ObserveState,
@@ -306,8 +298,6 @@ struct Metrics {
     solver_propagations: AtomicU64,
     /// Search conflicts (dead ends) across all solves.
     solver_conflicts: AtomicU64,
-    /// Solver restarts across all solves.
-    solver_restarts: AtomicU64,
     /// `trace` requests served.
     trace: AtomicU64,
     /// Portfolio races won by the greedy arm.
@@ -372,8 +362,6 @@ pub struct WireStats {
 pub struct SolverStats {
     /// Active solver mode name (`request`, `portfolio`, `ilp`, `greedy`).
     pub mode: &'static str,
-    /// Luby restart base in conflicts; 0 when restarts are disabled.
-    pub restart_base: u64,
     /// Solves dispatched without a warm-start seed.
     pub cold_solves: u64,
     /// Solves seeded from a cached neighbor's solution.
@@ -390,8 +378,6 @@ pub struct SolverStats {
     pub propagations: u64,
     /// Search conflicts (dead ends) across all solves.
     pub conflicts: u64,
-    /// Solver restarts across all solves.
-    pub restarts: u64,
     /// Portfolio races won by the greedy arm.
     pub portfolio_greedy: u64,
     /// Portfolio races won by the warm ILP arm.
@@ -569,7 +555,6 @@ impl StatusSnapshot {
             };
             Json::obj(vec![
                 ("mode", Json::str(self.solver.mode)),
-                ("restart_base", Json::Int(self.solver.restart_base as i64)),
                 ("cold_solves", Json::Int(self.solver.cold_solves as i64)),
                 ("warm_solves", Json::Int(self.solver.warm_solves as i64)),
                 ("seed_lookups", Json::Int(self.solver.seed_lookups as i64)),
@@ -582,7 +567,6 @@ impl StatusSnapshot {
                 ("nodes", Json::Int(self.solver.nodes as i64)),
                 ("propagations", Json::Int(self.solver.propagations as i64)),
                 ("conflicts", Json::Int(self.solver.conflicts as i64)),
-                ("restarts", Json::Int(self.solver.restarts as i64)),
                 (
                     "portfolio",
                     Json::obj(vec![
@@ -769,7 +753,6 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         poller_backend: poller_kind.name(),
         completions: Arc::new(Mutex::new(Vec::new())),
         solver: config.solver,
-        solver_restarts: config.solver_restarts,
         observe: ObserveState::new(
             trace::resolve_sample(config.trace_sample),
             trace::resolve_slow_ms(config.trace_slow_ms).map(|ms| ms.saturating_mul(1000)),
@@ -981,7 +964,6 @@ fn snapshot(shared: &Shared) -> StatusSnapshot {
         wire,
         solver: SolverStats {
             mode: shared.solver.name(),
-            restart_base: shared.solver_restarts.unwrap_or(0),
             cold_solves: metrics.solver_cold.load(Ordering::Relaxed),
             warm_solves: metrics.solver_warm.load(Ordering::Relaxed),
             repaired_hints: metrics.solver_repaired.load(Ordering::Relaxed),
@@ -990,7 +972,6 @@ fn snapshot(shared: &Shared) -> StatusSnapshot {
             nodes: metrics.solver_nodes.load(Ordering::Relaxed),
             propagations: metrics.solver_propagations.load(Ordering::Relaxed),
             conflicts: metrics.solver_conflicts.load(Ordering::Relaxed),
-            restarts: metrics.solver_restarts.load(Ordering::Relaxed),
             portfolio_greedy: metrics.portfolio_greedy.load(Ordering::Relaxed),
             portfolio_warm: metrics.portfolio_warm.load(Ordering::Relaxed),
             portfolio_cold: metrics.portfolio_cold.load(Ordering::Relaxed),
@@ -2414,7 +2395,6 @@ impl EventLoop {
                         // over an almost-identical signature set. The hint
                         // travels into the worker; the index stays here.
                         let mode = self.shared.solver;
-                        let restart_base = self.shared.solver_restarts;
                         let hint = if solve.op == SolveOp::Refine && mode.wants_hints() {
                             metrics.solver_seed_lookups.fetch_add(1, Ordering::Relaxed);
                             let identities = view_identities(&solve.view);
@@ -2436,7 +2416,7 @@ impl EventLoop {
                             // regardless — followers are parked on it.
                             let (outcome, telemetry) =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    solve_job(&solve, mode, restart_base, hint)
+                                    solve_job(&solve, mode, hint)
                                 }))
                                 .unwrap_or_else(|_| {
                                     (
@@ -2574,9 +2554,6 @@ impl EventLoop {
         metrics
             .solver_conflicts
             .fetch_add(telemetry.conflicts, Ordering::Relaxed);
-        metrics
-            .solver_restarts
-            .fetch_add(telemetry.restarts, Ordering::Relaxed);
         match telemetry.winner {
             Some("greedy") => {
                 metrics.portfolio_greedy.fetch_add(1, Ordering::Relaxed);
@@ -2878,41 +2855,22 @@ fn assemble_batch(items: Vec<Option<Msg>>) -> Msg {
     msg
 }
 
-/// The ILP configuration of the solver core: the request's budget, the
-/// configured restart schedule, and — because restarting an input-order
-/// search would replay the identical tree — activity branching whenever
-/// restarts are on.
-fn solver_ilp_config(time_limit: Option<Duration>, restart_base: Option<u64>) -> IlpEngineConfig {
-    IlpEngineConfig {
-        time_limit,
-        restart_conflict_base: restart_base,
-        brancher: if restart_base.is_some() {
-            BrancherKind::Activity
-        } else {
-            BrancherKind::default()
-        },
-        ..IlpEngineConfig::default()
-    }
-}
-
 /// Runs one solve on the worker thread. Returns the canonical serialization
 /// of the result object (or an error message) plus the solver telemetry the
 /// event loop rolls into its counters and neighbor index.
 fn solve_job(
     request: &SolveRequest,
     mode: SolverMode,
-    restart_base: Option<u64>,
     hint: Option<RefinementHint>,
 ) -> (Result<String, String>, SolveTelemetry) {
     let mut telemetry = SolveTelemetry::default();
-    let outcome = solve_job_inner(request, mode, restart_base, hint, &mut telemetry);
+    let outcome = solve_job_inner(request, mode, hint, &mut telemetry);
     (outcome, telemetry)
 }
 
 fn solve_job_inner(
     request: &SolveRequest,
     mode: SolverMode,
-    restart_base: Option<u64>,
     hint: Option<RefinementHint>,
     telemetry: &mut SolveTelemetry,
 ) -> Result<String, String> {
@@ -2931,28 +2889,24 @@ fn solve_job_inner(
                 (outcome, None)
             }
             SolverMode::Greedy => {
-                let engine = GreedyEngine::with_config(GreedyConfig {
-                    time_limit: request.time_limit,
-                    ..GreedyConfig::default()
-                });
+                let engine = EngineKind::Greedy.build(request.time_limit);
                 let outcome = engine
                     .refine(&request.view, &request.spec, k, theta)
                     .map_err(|err| err.to_string())?;
                 (outcome, None)
             }
             SolverMode::Ilp => {
-                let engine =
-                    IlpEngine::with_config(solver_ilp_config(request.time_limit, restart_base));
+                let engine = IlpEngine::with_config(IlpEngineConfig {
+                    time_limit: request.time_limit,
+                    ..IlpEngineConfig::default()
+                });
                 let (outcome, stats) = engine
                     .refine_with_hint(&request.view, &request.spec, k, theta, hint.as_ref())
                     .map_err(|err| err.to_string())?;
                 (outcome, Some(stats))
             }
             SolverMode::Portfolio => {
-                let mut portfolio = PortfolioEngine::with_engines(
-                    GreedyEngine::new(),
-                    IlpEngine::with_config(solver_ilp_config(None, restart_base)),
-                );
+                let mut portfolio = PortfolioEngine::new();
                 if let Some(limit) = request.time_limit {
                     portfolio = portfolio.with_time_limit(limit);
                 }
@@ -2968,7 +2922,6 @@ fn solve_job_inner(
             telemetry.nodes = stats.nodes;
             telemetry.propagations = stats.propagations;
             telemetry.conflicts = stats.conflicts;
-            telemetry.restarts = stats.restarts;
             telemetry.repaired =
                 telemetry.warm && stats.hint_mismatches > 0 && outcome.refinement().is_some();
         }
@@ -2985,19 +2938,10 @@ fn solve_job_inner(
 
     let engine: Box<dyn RefinementEngine> = match mode {
         SolverMode::Request => request.engine.build(request.time_limit),
-        SolverMode::Greedy => Box::new(GreedyEngine::with_config(GreedyConfig {
-            time_limit: request.time_limit,
-            ..GreedyConfig::default()
-        })),
-        SolverMode::Ilp => Box::new(IlpEngine::with_config(solver_ilp_config(
-            request.time_limit,
-            restart_base,
-        ))),
+        SolverMode::Greedy => EngineKind::Greedy.build(request.time_limit),
+        SolverMode::Ilp => EngineKind::Ilp.build(request.time_limit),
         SolverMode::Portfolio => {
-            let portfolio = PortfolioEngine::with_engines(
-                GreedyEngine::new(),
-                IlpEngine::with_config(solver_ilp_config(None, restart_base)),
-            );
+            let portfolio = PortfolioEngine::new();
             Box::new(match request.time_limit {
                 Some(limit) => portfolio.with_time_limit(limit),
                 None => portfolio,

@@ -264,13 +264,61 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
         rule_line("not ".repeat(deep) + atom),
         rule_line(atom.to_owned() + &format!(" and {atom}").repeat(deep)),
         rule_line(atom.to_owned() + &format!(" or {atom}").repeat(deep)),
+        // A step this small once made one sweep record probes until the
+        // worker's memory ran out.
+        "{\"op\":\"highest-theta\",\"view\":{\"properties\":[\"p\"],\"signatures\":[[[0],1]]},\"k\":2,\"step\":\"1/1000000000000\"}".to_owned(),
     ]);
     for bad in &bad_lines {
         let raw = client.call_raw(bad).expect("connection stays up");
         assert!(raw.starts_with("{\"ok\":false,"), "for {bad:.120}: {raw}");
     }
 
+    // A step too large to cross-multiply once panicked the event-loop
+    // thread at decode. It decodes: refine ignores the step, and
+    // highest-theta reports its overflow from a worker.
+    let huge_step = |op: &str| {
+        format!(
+            "{{\"op\":\"{op}\",\"view\":{{\"properties\":[\"p\",\"q\"],\"signatures\":[[[0],9],[[0,1],1]]}},\"k\":1,\"theta\":\"1/2\",\"step\":\"170141183460469231731687303715884105727\"}}"
+        )
+    };
+    for (op, answer) in [
+        ("refine", "{\"ok\":true,"),
+        ("highest-theta", "{\"ok\":false,"),
+    ] {
+        let raw = client
+            .call_raw(&huge_step(op))
+            .expect("connection stays up");
+        assert!(raw.starts_with(answer), "for {op}: {raw}");
+    }
+
     // The same connection still serves good requests afterwards.
+    let response = client.solve(&refine_request(Ratio::new(1, 2))).unwrap();
+    assert_eq!(response.source(), Some(Source::Solved));
+
+    client.shutdown().unwrap();
+    handle.wait();
+}
+
+/// A `k` far past the view's signature count asks the signature count's
+/// question; it once made a worker allocate `k` sorts and abort `serve`.
+#[test]
+fn a_huge_k_is_answered_and_the_server_keeps_serving() {
+    let handle = start_test_server(1, 8);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let view = "{\"properties\":[\"p\",\"q\"],\"signatures\":[[[0],9],[[0,1],1]]}";
+    let k = 1u64 << 40;
+    let lines = [
+        format!("{{\"op\":\"refine\",\"view\":{view},\"k\":{k},\"theta\":\"1/2\"}}"),
+        format!(
+            "{{\"op\":\"refine\",\"view\":{view},\"k\":{k},\"theta\":\"1/2\",\"engine\":\"ilp\"}}"
+        ),
+        format!("{{\"op\":\"highest-theta\",\"view\":{view},\"k\":{k}}}"),
+    ];
+    for line in &lines {
+        let raw = client.call_raw(line).expect("the server answers");
+        assert!(raw.starts_with("{\"ok\":true,"), "for {line}: {raw}");
+    }
+
     let response = client.solve(&refine_request(Ratio::new(1, 2))).unwrap();
     assert_eq!(response.source(), Some(Source::Solved));
 

@@ -6,7 +6,7 @@
 //!   table of `(subject, property, value)` rows with subject and property
 //!   indexes. Agnostic to structuredness; entity lookups pay one probe plus
 //!   scattered rows.
-//! * [`HorizontalLayout`] — the horizontal database of Pan & Heflin [11]
+//! * [`HorizontalLayout`] — the horizontal database of Pan & Heflin \[11\]
 //!   referenced in Section 2.1: a single wide table with one row per subject
 //!   and one column per property. Entity lookups are one row, but every
 //!   missing property is a stored NULL — its fill factor *is* σ_Cov.
@@ -15,7 +15,7 @@
 //!   are meant to enable: each table is dense because its sort is highly
 //!   structured.
 //!
-//! All layouts answer the same [`Query`](crate::query::Query) classes with
+//! All layouts answer the same [`Query`] classes with
 //! identical results and report their work through the shared cost model, so
 //! the effect of structuredness on physical design can be measured directly.
 

@@ -3,7 +3,7 @@
 //!
 //! A [`WideTable`] has one row per subject and one column per property. A
 //! cell holds zero or more [`Value`]s — zero models the NULL of the paper's
-//! horizontal database [11], more than one models RDF's multi-valued
+//! horizontal database \[11\], more than one models RDF's multi-valued
 //! properties. The table keeps a subject index so point lookups do not scan.
 
 use std::collections::BTreeMap;

@@ -7,7 +7,7 @@
 //! assertion names the seed and the case index, and re-running the test
 //! replays the same cases.
 
-use strudel_core::engine::{signature_identity, BrancherKind, PortfolioEngine, RefinementHint};
+use strudel_core::engine::{signature_identity, PortfolioEngine, RefinementHint};
 use strudel_core::prelude::*;
 use strudel_rdf::rng::StdRng;
 use strudel_rdf::signature::SignatureView;
@@ -123,12 +123,18 @@ fn decision(
     }
 }
 
+/// A `k` far past any view's signature count: it asks the signature
+/// count's question, since a refinement has no more non-empty sorts than
+/// the view has signatures.
+const HUGE_K: usize = 1 << 40;
+
 /// `ExistsSortRefinement` decided by the oracle is the decision of every
 /// engine a serving mode runs: the request engines (`hybrid`, `ilp`), the
-/// exact engine under each brancher with restarts off and on, cold and
-/// warm-started from an arbitrary hint, and the raced portfolio with that
-/// hint. Greedy may fail to decide but never claims infeasibility, and
-/// every refinement any of them returns is a genuine certificate.
+/// exact engine cold and warm-started from an arbitrary hint, and the raced
+/// portfolio with that hint. Greedy may fail to decide but never claims
+/// infeasibility, and every refinement any of them returns is a genuine
+/// certificate. Every engine, the oracle included, also answers `k` = 2⁴⁰
+/// with the oracle's decision at `k` = the signature count.
 #[test]
 fn every_engine_matches_the_exhaustive_oracle() {
     const SEED: u64 = 0x0e4a_c7e5;
@@ -147,57 +153,55 @@ fn every_engine_matches_the_exhaustive_oracle() {
             _ => just_above(best),
         };
         let hint = random_hint(&mut rng, &view, k);
-        let instance = format!(
-            "seed {SEED:#x} case {case}: {} k {k} θ {theta}",
-            spec.name()
-        );
-        let check = |label: &str, outcome: &RefineOutcome| {
-            let context = format!("{instance}, {label}");
+        let instance = format!("seed {SEED:#x} case {case}: {} θ {theta}", spec.name());
+        let check = |k: usize, label: &str, outcome: &RefineOutcome| {
+            let context = format!("{instance}, k {k}, {label}");
             decision(outcome, (&view, &spec, k, theta), &context)
         };
+        let oracle = |k: usize| {
+            let outcome = ExhaustiveEngine::new().refine(&view, &spec, k, theta);
+            check(k, "exhaustive", &outcome.unwrap()).expect("the oracle decides")
+        };
 
-        let oracle = ExhaustiveEngine::new().refine(&view, &spec, k, theta);
-        let truth = check("exhaustive", &oracle.unwrap()).expect("the oracle decides");
+        let truth = oracle(k);
         feasible += usize::from(truth);
-
-        for kind in [EngineKind::Hybrid, EngineKind::Ilp, EngineKind::Greedy] {
-            let outcome = kind.build(None).refine(&view, &spec, k, theta).unwrap();
-            let answer = check(kind.name(), &outcome);
-            assert!(
-                answer == Some(truth) || (kind == EngineKind::Greedy && answer.is_none()),
-                "{instance}: {} answered {answer:?}",
-                kind.name()
+        let saturated = oracle(view.signature_count());
+        for (k, truth) in [(k, truth), (HUGE_K, saturated)] {
+            for kind in [EngineKind::Hybrid, EngineKind::Ilp, EngineKind::Greedy] {
+                let outcome = kind.build(None).refine(&view, &spec, k, theta).unwrap();
+                let answer = check(k, kind.name(), &outcome);
+                assert!(
+                    answer == Some(truth) || (kind == EngineKind::Greedy && answer.is_none()),
+                    "{instance}, k {k}: {} answered {answer:?}",
+                    kind.name()
+                );
+            }
+            for warm in [None, Some(&hint)] {
+                let (outcome, stats) = IlpEngine::new()
+                    .refine_with_hint(&view, &spec, k, theta, warm)
+                    .unwrap();
+                seeded += usize::from(stats.hint_vars > 0);
+                let label = format!("ilp {warm:?}");
+                assert_eq!(
+                    check(k, &label, &outcome),
+                    Some(truth),
+                    "{instance}, {label}"
+                );
+            }
+            let raced = PortfolioEngine::new()
+                .refine_raced(&view, &spec, k, theta, Some(&hint))
+                .unwrap();
+            let label = format!("portfolio won by {:?}", raced.winner);
+            assert_eq!(
+                check(k, &label, &raced.outcome),
+                Some(truth),
+                "{instance}, {label}"
             );
         }
-        for brancher in [
-            BrancherKind::InputOrder,
-            BrancherKind::FirstFail,
-            BrancherKind::Activity,
-        ] {
-            for restarts in [None, Some(1)] {
-                let engine = IlpEngine::with_config(IlpEngineConfig {
-                    brancher,
-                    restart_conflict_base: restarts,
-                    ..IlpEngineConfig::default()
-                });
-                for warm in [None, Some(&hint)] {
-                    let (outcome, stats) = engine
-                        .refine_with_hint(&view, &spec, k, theta, warm)
-                        .unwrap();
-                    seeded += usize::from(stats.hint_vars > 0);
-                    let label = format!("ilp {brancher:?} restarts {restarts:?} {warm:?}");
-                    assert_eq!(check(&label, &outcome), Some(truth), "{instance}, {label}");
-                }
-            }
-        }
-        let raced = PortfolioEngine::new()
-            .refine_raced(&view, &spec, k, theta, Some(&hint))
-            .unwrap();
-        let label = format!("portfolio won by {:?}", raced.winner);
         assert_eq!(
-            check(&label, &raced.outcome),
-            Some(truth),
-            "{instance}, {label}"
+            oracle(HUGE_K),
+            saturated,
+            "{instance}, exhaustive at k 2^40"
         );
     }
     let infeasible = CASES - feasible;

@@ -4,11 +4,13 @@
 
 use std::time::Duration;
 
+use strudel_core::engine::{hint_from_refinement, RefinementHint};
 use strudel_core::prelude::*;
 use strudel_datagen::{
     dbpedia_persons, dbpedia_persons_scaled, mixed_drug_companies_and_sultans, person_columns,
     wordnet_nouns,
 };
+use strudel_rdf::signature::SignatureView;
 
 fn quick_engine() -> HybridEngine {
     HybridEngine::with_engines(
@@ -199,4 +201,52 @@ fn dbpedia_cov_k2_proofs_keep_their_search_tree() {
             "θ = {theta}"
         );
     }
+}
+
+/// Variant `variant` of `bench_server`'s incremental S±1 family: 14 base
+/// signatures over 10 properties, plus one extra signature for variants
+/// 1 and up.
+fn s_pm_1_view(variant: usize) -> SignatureView {
+    let properties: Vec<String> = (0..10).map(|i| format!("http://ex/p{i}")).collect();
+    let mut signatures: Vec<(Vec<usize>, usize)> = (0..14)
+        .map(|i| {
+            let width = 2 + (i % 4);
+            let start = (i * 3) % 5;
+            ((start..start + width).collect(), 10 + (i * 17) % 60)
+        })
+        .collect();
+    if variant > 0 {
+        let width = 2 + (variant % 3);
+        let start = (variant * 2) % 5;
+        signatures.push(((start..start + width).collect(), 7 + variant % 5));
+    }
+    SignatureView::from_counts(properties, signatures).unwrap()
+}
+
+/// The trees `bench_server`'s solver section reports, cold and
+/// warm-started: Cov at k = 3 and θ = 1/2 over variants 1–7, each solved
+/// from scratch and then seeded with variant 0's answer. A change that
+/// means to alter the search or how hints order it updates these sums and
+/// says why.
+#[test]
+fn s_pm_1_family_keeps_its_cold_and_warm_trees() {
+    let engine = IlpEngine::new();
+    let (k, theta, spec) = (3, Ratio::new(1, 2), SigmaSpec::Coverage);
+    let base = s_pm_1_view(0);
+    let prior = engine.refine(&base, &spec, k, theta).unwrap();
+    let hint = hint_from_refinement(&base, prior.refinement().expect("variant 0 is feasible"));
+    let nodes = |hint: Option<&RefinementHint>| -> u64 {
+        (1..=7)
+            .map(|variant| {
+                let view = s_pm_1_view(variant);
+                let (outcome, stats) = engine
+                    .refine_with_hint(&view, &spec, k, theta, hint)
+                    .unwrap();
+                assert!(outcome.refinement().is_some(), "variant {variant}");
+                stats.nodes
+            })
+            .sum()
+    };
+    assert_eq!(nodes(None), 4_382, "cold");
+    assert_eq!(nodes(Some(&hint)), 1_741, "warm");
 }
