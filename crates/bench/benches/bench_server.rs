@@ -1136,9 +1136,13 @@ fn main() {
     // change the answer), every warm solve actually seeded (status
     // counters), the cold leg stays under the seed solver's node ceiling,
     // and seeding never explores more nodes than a cold search.
-    // 7, not 8: variant 8's model has tied optima, and a neighbor hint
-    // legitimately steers the search to a different (equally valid)
-    // optimum — the byte-identity bar below needs unique optima.
+    // 7, not 8: a cold search returns the first feasible refinement in
+    // input order, a seeded one the first in the order its hint prefers,
+    // and the byte-identity bar below needs the two to coincide. They do
+    // for variants 1–7. Variant 8, solved in process, does not: its seeded
+    // search walks straight to the base's refinement, which still meets
+    // θ (14 nodes, min σ 61/121), while its cold search first finds a
+    // different partition (355 nodes, min σ 553/1098).
     const SOLVER_VARIANTS: usize = 7;
     // The seed solver explored 5369 nodes on the Coverage θ=1/2 bench
     // family; the event-driven core's cold leg must come in under that
@@ -1177,7 +1181,7 @@ fn main() {
         addr: "127.0.0.1:0".into(),
         workers: 1, // serialize solves: throughput deltas are pure search
         cache_capacity: 4096,
-        solver: SolverMode::Ilp,
+        solver: Some(EngineKind::Ilp),
         trace_sample: Some(BENCH_TRACE_SAMPLE),
         ..ServerConfig::default()
     })

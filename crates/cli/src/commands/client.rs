@@ -6,8 +6,8 @@ use strudel_core::sigma::SigmaSpec;
 use strudel_core::wire::WireRefinement;
 use strudel_rules::prelude::Ratio;
 use strudel_server::prelude::{
-    Client, ClientError, ClientOptions, EngineKind, FramingMode, Json, Response, Router,
-    RouterOptions, SolveOp, SolveRequest, Source,
+    Client, ClientError, ClientOptions, FramingMode, Json, Response, Router, RouterOptions,
+    SolveOp, SolveRequest, Source,
 };
 use strudel_server::protocol::refinement_from_json;
 use strudel_server::trace::histogram_from_json;
@@ -15,7 +15,7 @@ use strudel_server::trace::histogram_from_json;
 use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
 use crate::io::{load_graph, views_of};
-use crate::spec::{parse_sigma_spec, parse_time_limit};
+use crate::spec::{parse_engine, parse_sigma_spec, parse_time_limit};
 
 /// Argument specification of `client`.
 pub const SPEC: ArgSpec = ArgSpec {
@@ -559,10 +559,7 @@ fn build_solve_request(
         Some(text) => parse_sigma_spec(text)?,
         None => SigmaSpec::Coverage,
     };
-    let engine = match parsed.option("engine") {
-        Some(name) => EngineKind::parse(name).map_err(|err| CliError::Usage(err.message))?,
-        None => EngineKind::Hybrid,
-    };
+    let engine = parse_engine(parsed)?;
     let theta = match parsed.option("theta") {
         Some(text) => Some(parse_ratio(text, "theta")?),
         None => None,
@@ -767,17 +764,6 @@ fn render_status(result: &Json) -> String {
             int(&["solver", "propagations"]),
             int(&["solver", "conflicts"]),
         ));
-        let wins = int(&["solver", "portfolio", "greedy"])
-            + int(&["solver", "portfolio", "ilp_warm"])
-            + int(&["solver", "portfolio", "ilp_cold"]);
-        if wins > 0 {
-            out.push_str(&format!(
-                "portfolio wins: {} greedy / {} ilp-warm / {} ilp-cold\n",
-                int(&["solver", "portfolio", "greedy"]),
-                int(&["solver", "portfolio", "ilp_warm"]),
-                int(&["solver", "portfolio", "ilp_cold"]),
-            ));
-        }
     }
     if let Some(observe) = result.get("observe") {
         let sample = int(&["observe", "sample_every"]);

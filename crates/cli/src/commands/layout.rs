@@ -9,7 +9,7 @@ use strudel_storage::prelude::{
 use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
 use crate::io::load_graph;
-use crate::spec::{build_engine, parse_sigma_spec, parse_time_limit};
+use crate::spec::{parse_engine, parse_sigma_spec, parse_time_limit};
 
 /// Argument specification of `layout`.
 pub const SPEC: ArgSpec = ArgSpec {
@@ -60,7 +60,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         (None, None) => AdvisorObjective::HighestTheta { k: 4 },
     };
     let time_limit = parse_time_limit(&parsed)?;
-    let engine = build_engine(parsed.option("engine"), time_limit)?;
+    let engine = parse_engine(&parsed)?.build(time_limit);
 
     let queries = parsed
         .option_parsed::<usize>("queries")?

@@ -12,7 +12,7 @@ use strudel_rules::prelude::Ratio;
 use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
 use crate::io::{load_graph, save_ntriples, views_of};
-use crate::spec::{build_engine, parse_sigma_spec, parse_time_limit};
+use crate::spec::{parse_engine, parse_sigma_spec, parse_time_limit};
 
 /// Argument specification of `refine`.
 pub const SPEC: ArgSpec = ArgSpec {
@@ -56,7 +56,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         None => SigmaSpec::Coverage,
     };
     let time_limit = parse_time_limit(&parsed)?;
-    let engine = build_engine(parsed.option("engine"), time_limit)?;
+    let engine = parse_engine(&parsed)?.build(time_limit);
 
     let k = parsed.option_parsed::<usize>("k")?;
     let theta = match parsed.option("theta") {
@@ -268,6 +268,31 @@ mod tests {
         assert_eq!(refined_sorts.len(), 2);
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(&out_path).ok();
+    }
+
+    /// `--time-limit 0` is a budget every engine honours: none may decide,
+    /// although the question has an answer.
+    #[test]
+    fn a_zero_time_limit_leaves_every_engine_undecided() {
+        let file = write_persons_ntriples("refine-zero-budget");
+        for engine in ["greedy", "hybrid", "ilp"] {
+            let output = run(&args(&[
+                file.to_str().unwrap(),
+                "--sort",
+                "http://ex/Person",
+                "--k",
+                "2",
+                "--theta",
+                "1/2",
+                "--engine",
+                engine,
+                "--time-limit",
+                "0",
+            ]))
+            .unwrap();
+            assert!(output.contains("undecided"), "{engine}: {output}");
+        }
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `strudel serve` — run the refinement service.
 
 use strudel_server::prelude::{
-    FsyncPolicy, PollerKind, ServerConfig, ShardSpec, SolverMode, TenantSpecSet,
+    EngineKind, FsyncPolicy, PollerKind, ServerConfig, ShardSpec, TenantSpecSet,
 };
 
 use crate::args::{parse_args, ArgSpec};
@@ -70,14 +70,13 @@ pub const USAGE: &str = "strudel serve [--addr HOST:PORT] [--workers N] [--cache
   with 'strudel client --tenant NAME' (unset = the unlimited 'default'
   tenant); over-limit requests get a structured over_quota error with a
   retry_after_ms hint, refused per batch element.
-  --solver request|portfolio|ilp|greedy picks the cache-miss compute
-  strategy: request (the default) honors each request's engine field;
-  ilp routes every solve through the exact solver core, warm-started
-  from the nearest cached neighbor's solution; portfolio races greedy,
-  warm ILP, and cold ILP per solve and takes the first decisive arm;
-  greedy answers heuristically only. The status payload's 'solver' block
-  reports cold/warm solve counts, the seed hit-rate, repaired hints,
-  nodes, propagations, conflicts, and portfolio winners.
+  --solver request|ilp|greedy picks the engine every solve runs: request
+  (the default) runs the engine each request names; ilp or greedy
+  replaces it before the cache key is taken, so the cache, the segment
+  and the trace name the engine that ran. ilp also warm-starts each
+  refine from the nearest solved neighbor's solution. The status
+  payload's 'solver' block reports cold/warm solve counts, the seed
+  hit-rate, repaired hints, nodes, propagations and conflicts.
   --trace-sample N records every Nth solve request as a lifecycle span
   (per-stage micros: decode, admission, cache, solve, flush) in a
   fixed-size in-memory flight recorder dumped by 'strudel client trace'
@@ -136,11 +135,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         })?);
     }
     if let Some(mode) = parsed.option("solver") {
-        config.solver = SolverMode::parse(mode).ok_or_else(|| {
-            CliError::Usage(format!(
-                "invalid value '{mode}' for --solver: expected request, portfolio, ilp, or greedy"
-            ))
-        })?;
+        config.solver = match mode.to_ascii_lowercase().as_str() {
+            "request" => None,
+            "ilp" => Some(EngineKind::Ilp),
+            "greedy" => Some(EngineKind::Greedy),
+            _ => {
+                return Err(CliError::Usage(format!(
+                    "invalid value '{mode}' for --solver: expected request, ilp, or greedy"
+                )))
+            }
+        };
     }
     if let Some(every) = parsed.option_parsed::<u64>("trace-sample")? {
         config.trace_sample = Some(every);
@@ -388,6 +392,10 @@ mod tests {
         assert!(run(&args(&["--follow", "127.0.0.1:1", "--auto-promote", "100"])).is_err());
         // Solver modes are a closed set, and the search has no restarts.
         assert!(run(&args(&["--solver", "simplex"])).is_err());
+        assert!(matches!(
+            run(&args(&["--solver", "portfolio"])),
+            Err(CliError::Usage(message)) if message.contains("request, ilp, or greedy")
+        ));
         assert!(matches!(
             run(&args(&["--solver-restarts", "100"])),
             Err(CliError::Usage(message)) if message.contains("unknown option")

@@ -2,10 +2,8 @@
 
 use std::time::Duration;
 
-use strudel_core::engine::{
-    GreedyEngine, HybridEngine, IlpEngine, IlpEngineConfig, RefinementEngine,
-};
 use strudel_core::sigma::{parse_spec, SigmaSpec, SpecParseError};
+use strudel_server::prelude::EngineKind;
 
 use crate::error::CliError;
 
@@ -42,26 +40,12 @@ pub fn parse_time_limit(parsed: &crate::args::ParsedArgs) -> Result<Option<Durat
     }
 }
 
-/// Builds a refinement engine from a `--engine` name and an optional
-/// per-instance time limit.
-pub fn build_engine(
-    name: Option<&str>,
-    time_limit: Option<Duration>,
-) -> Result<Box<dyn RefinementEngine>, CliError> {
-    let ilp_config = IlpEngineConfig {
-        time_limit,
-        ..IlpEngineConfig::default()
-    };
-    match name.unwrap_or("hybrid").to_ascii_lowercase().as_str() {
-        "hybrid" => Ok(Box::new(HybridEngine::with_engines(
-            GreedyEngine::new(),
-            IlpEngine::with_config(ilp_config),
-        ))),
-        "ilp" => Ok(Box::new(IlpEngine::with_config(ilp_config))),
-        "greedy" => Ok(Box::new(GreedyEngine::new())),
-        other => Err(CliError::Usage(format!(
-            "unknown engine '{other}'; expected hybrid, ilp, or greedy"
-        ))),
+/// Parses an `--engine` argument into the engine family the server names
+/// the same way (hybrid when absent). [`EngineKind::build`] builds it.
+pub fn parse_engine(parsed: &crate::args::ParsedArgs) -> Result<EngineKind, CliError> {
+    match parsed.option("engine") {
+        Some(name) => EngineKind::parse(name).map_err(|err| CliError::Usage(err.message)),
+        None => Ok(EngineKind::Hybrid),
     }
 }
 
@@ -112,18 +96,5 @@ mod tests {
         assert!(err.to_string().contains("at least 2"));
         let err = parse_sigma_spec("val(c = 1 ->").unwrap_err();
         assert!(matches!(err, CliError::Rule(_)));
-    }
-
-    #[test]
-    fn engines_are_selected_by_name() {
-        assert_eq!(build_engine(None, None).unwrap().name(), "hybrid");
-        assert_eq!(build_engine(Some("ilp"), None).unwrap().name(), "ilp");
-        assert_eq!(
-            build_engine(Some("GREEDY"), Some(Duration::from_secs(1)))
-                .unwrap()
-                .name(),
-            "greedy"
-        );
-        assert!(build_engine(Some("cplex"), None).is_err());
     }
 }

@@ -1,7 +1,5 @@
 //! The ILP-backed refinement engine — the paper's solution strategy.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 use strudel_ilp::prelude::{
@@ -27,9 +25,6 @@ pub struct IlpEngineConfig {
     /// mirroring the paper's observation that proving infeasibility can take
     /// orders of magnitude longer than finding a solution.
     pub time_limit: Option<Duration>,
-    /// Cooperative cancellation flag forwarded to the solver (used by the
-    /// portfolio engine to stop losing arms).
-    pub stop: Option<Arc<AtomicBool>>,
 }
 
 /// A warm-start hint at the refinement level: which sort each signature was
@@ -162,7 +157,6 @@ impl IlpEngine {
         let warm = hint.and_then(|hint| self.warm_start_for(&encoding, view, hint));
         let solver = Solver::with_config(SolverConfig {
             time_limit: self.config.time_limit,
-            stop: self.config.stop.clone(),
         });
         let result = solver
             .solve_with_hint(&encoding.model, warm.as_ref())
@@ -437,12 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn a_preset_stop_flag_yields_unknown_not_a_wrong_answer() {
+    fn a_zero_time_limit_yields_unknown_not_a_wrong_answer() {
         let view = view();
-        let engine = IlpEngine::with_config(IlpEngineConfig {
-            stop: Some(Arc::new(AtomicBool::new(true))),
-            ..IlpEngineConfig::default()
-        });
+        let engine = IlpEngine::with_time_limit(Duration::ZERO);
         // A search stopped before its first node cannot have found the
         // feasible instance's refinement, and must not claim it infeasible;
         // root propagation alone may still refute the infeasible one.

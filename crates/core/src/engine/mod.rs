@@ -14,7 +14,6 @@ mod exhaustive;
 mod greedy;
 mod hybrid;
 mod ilp;
-mod portfolio;
 
 pub use exhaustive::{ExhaustiveConfig, ExhaustiveEngine};
 pub use greedy::{GreedyConfig, GreedyEngine};
@@ -22,7 +21,6 @@ pub use hybrid::HybridEngine;
 pub use ilp::{
     hint_from_refinement, signature_identity, IlpEngine, IlpEngineConfig, RefinementHint,
 };
-pub use portfolio::{PortfolioArm, PortfolioEngine, PortfolioOutcome};
 // Re-exported so downstream crates (the server reads solve statistics)
 // need no direct `strudel-ilp` dependency.
 pub use strudel_ilp::prelude::SolveStats;

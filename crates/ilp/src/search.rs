@@ -57,7 +57,6 @@ impl WarmStart {
 struct SearchState<'a> {
     engine: Engine,
     model: &'a Model,
-    config: &'a SolverConfig,
     /// Hinted value per variable index (value ordering preference).
     preferred: Vec<Option<i64>>,
     deadline: Option<Instant>,
@@ -93,7 +92,6 @@ pub(crate) fn run(
     let mut state = SearchState {
         engine,
         model,
-        config,
         preferred,
         deadline: config.time_limit.map(|limit| start + limit),
         nodes: 0,
@@ -141,12 +139,6 @@ impl SearchState<'_> {
     fn out_of_budget(&mut self) -> bool {
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(stop) = &self.config.stop {
-            if stop.load(std::sync::atomic::Ordering::Relaxed) {
                 self.aborted = true;
                 return true;
             }

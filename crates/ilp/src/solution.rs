@@ -9,8 +9,8 @@ pub enum SolveStatus {
     Feasible,
     /// The model was proven infeasible.
     Infeasible,
-    /// No conclusion: the time limit or the stop flag cut the search short
-    /// before it found a solution.
+    /// No conclusion: the time limit cut the search short before it found a
+    /// solution.
     Unknown,
 }
 
@@ -57,9 +57,10 @@ pub struct SolveStats {
 mod tests {
     use super::*;
 
-    /// A solve carries a solution exactly when its status is `Feasible`.
+    /// A solve carries a solution exactly when its status is `Feasible`,
+    /// also when a zero time limit cuts it short.
     #[test]
-    fn status_solution_availability() {
+    fn status_solution_availability_under_a_zero_time_limit() {
         use crate::model::{Cmp, LinExpr, Model};
         use crate::solver::{Solver, SolverConfig};
 
@@ -70,8 +71,7 @@ mod tests {
             model
         };
         let stopped = Solver::with_config(SolverConfig {
-            stop: Some(std::sync::Arc::new(true.into())),
-            ..SolverConfig::default()
+            time_limit: Some(Duration::ZERO),
         });
         for (result, status) in [
             (Solver::new().solve(&at_least(1)), SolveStatus::Feasible),

@@ -10,8 +10,6 @@
 //! branching. Every model is a feasibility question: the solve stops at the
 //! first assignment that satisfies every constraint.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::IlpError;
@@ -19,15 +17,12 @@ use crate::model::Model;
 use crate::search::{self, WarmStart};
 use crate::solution::SolveResult;
 
-/// Configuration of the search: its two ways to stop early.
+/// Configuration of the search: its one way to stop early.
 #[derive(Clone, Debug, Default)]
 pub struct SolverConfig {
-    /// Wall-clock limit for the whole solve.
+    /// Wall-clock limit for the whole solve. A search cut short by it
+    /// reports `Unknown`.
     pub time_limit: Option<Duration>,
-    /// Cooperative cancellation: when the flag becomes true the solve aborts
-    /// at the next node, reporting `Unknown` like a time limit. Used to
-    /// cancel losing arms of an engine portfolio.
-    pub stop: Option<Arc<AtomicBool>>,
 }
 
 /// The depth-first ILP solver.
@@ -225,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_flag_aborts_the_solve() {
+    fn a_zero_time_limit_aborts_the_solve() {
         let mut model = Model::new();
         let vars: Vec<_> = (0..12).map(|i| model.add_binary(format!("x{i}"))).collect();
         let mut expr = LinExpr::new();
@@ -233,14 +228,12 @@ mod tests {
             expr.add_term(1, v);
         }
         model.add_constraint("half", expr, Cmp::Ge, 6);
-        let stop = Arc::new(AtomicBool::new(true));
         let config = SolverConfig {
-            stop: Some(stop),
-            ..SolverConfig::default()
+            time_limit: Some(Duration::ZERO),
         };
         let result = Solver::with_config(config).solve(&model).unwrap();
-        // Pre-set flag: aborted at the first node without a conclusion,
-        // although the model has plenty of solutions.
+        // An expired budget: aborted at the first node without a
+        // conclusion, although the model has plenty of solutions.
         assert_eq!(result.status, SolveStatus::Unknown);
         assert!(result.solution.is_none());
     }

@@ -1,13 +1,8 @@
-//! Warm-start plumbing for the compute pool's miss path.
+//! Warm-start plumbing for the compute pool's miss path under
+//! `serve --solver ilp`.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
-//! * [`SolverMode`] — how `serve --solver` overrides the miss path. The
-//!   default ([`SolverMode::Request`]) honors each request's `engine`
-//!   field exactly, which is the pre-solver-core behavior; `ilp`,
-//!   `portfolio`, and `greedy` route every solve through one strategy
-//!   regardless of what the request asked for (the cache key still
-//!   records the requested engine, so the modes never mix entries).
 //! * [`HintIndex`] — the event loop's memory of recently solved `refine`
 //!   instances, keyed by the cache key's params string. Because the params
 //!   text excludes the view (and carries the tenant suffix), one bucket
@@ -18,8 +13,8 @@
 //!   ships to the worker as a [`RefinementHint`].
 //! * [`SolveTelemetry`] — what a worker reports back alongside the result
 //!   text: whether the solve was warm-seeded, whether a stale hint was
-//!   repaired, node/restart counts, the winning portfolio arm, and (on a
-//!   successful `refine`) the exported solution the index remembers.
+//!   repaired, node/propagation/conflict counts, and (on a successful
+//!   `refine`) the exported solution the index remembers.
 //!
 //! The index is owned by the single-threaded event loop, so it needs no
 //! lock; workers only ever *carry* hints and telemetry, never touch the
@@ -39,51 +34,6 @@ pub const MAX_NEIGHBOR_DISTANCE: usize = 2;
 /// Entries remembered per params bucket. Old entries fall off first; a
 /// re-solved view replaces its previous entry in place.
 const MAX_ENTRIES_PER_BUCKET: usize = 32;
-
-/// How `serve --solver` shapes the cache-miss compute path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SolverMode {
-    /// Honor the request's `engine` field exactly (the default; identical
-    /// to the server's behavior before the solver core existed).
-    #[default]
-    Request,
-    /// Race greedy / warm ILP / cold ILP per solve; first decisive arm wins.
-    Portfolio,
-    /// Exact ILP for every solve, warm-started from the neighbor index.
-    Ilp,
-    /// Greedy heuristic for every solve (cannot prove infeasibility).
-    Greedy,
-}
-
-impl SolverMode {
-    /// The flag/status spelling of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverMode::Request => "request",
-            SolverMode::Portfolio => "portfolio",
-            SolverMode::Ilp => "ilp",
-            SolverMode::Greedy => "greedy",
-        }
-    }
-
-    /// Parses a `--solver` argument.
-    pub fn parse(text: &str) -> Option<Self> {
-        match text.to_ascii_lowercase().as_str() {
-            "request" => Some(SolverMode::Request),
-            "portfolio" => Some(SolverMode::Portfolio),
-            "ilp" => Some(SolverMode::Ilp),
-            "greedy" => Some(SolverMode::Greedy),
-            _ => None,
-        }
-    }
-
-    /// Whether this mode consults the neighbor index before a cold solve.
-    /// `Request` mode never does: the default path stays byte-for-byte the
-    /// pre-solver-core behavior, and `Greedy` has no use for a seed.
-    pub fn wants_hints(self) -> bool {
-        matches!(self, SolverMode::Portfolio | SolverMode::Ilp)
-    }
-}
 
 /// The signature-identity set of a view: one content hash per signature,
 /// independent of signature order and counts. Two views are warm-start
@@ -121,8 +71,6 @@ pub struct SolveTelemetry {
     pub propagations: u64,
     /// Search conflicts — dead ends that forced a backtrack.
     pub conflicts: u64,
-    /// Winning portfolio arm name, when the portfolio raced.
-    pub winner: Option<&'static str>,
     /// Exported solution for the neighbor index, on a successful `refine`.
     pub solved: Option<SolvedHint>,
 }
@@ -222,24 +170,6 @@ impl HintIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parses_its_own_names() {
-        for mode in [
-            SolverMode::Request,
-            SolverMode::Portfolio,
-            SolverMode::Ilp,
-            SolverMode::Greedy,
-        ] {
-            assert_eq!(SolverMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(SolverMode::parse("ILP"), Some(SolverMode::Ilp));
-        assert_eq!(SolverMode::parse("simplex"), None);
-        assert!(!SolverMode::Request.wants_hints());
-        assert!(!SolverMode::Greedy.wants_hints());
-        assert!(SolverMode::Ilp.wants_hints());
-        assert!(SolverMode::Portfolio.wants_hints());
-    }
 
     #[test]
     fn distance_is_the_symmetric_difference() {

@@ -140,7 +140,7 @@ pub mod prelude {
     };
     pub use crate::client::{Client, ClientError, ClientOptions, FramingMode, Response};
     pub use crate::flight::{BoardJoin, FlightBoard, FlightStats};
-    pub use crate::hints::{HintIndex, SolveTelemetry, SolvedHint, SolverMode};
+    pub use crate::hints::{HintIndex, SolveTelemetry, SolvedHint};
     pub use crate::json::Json;
     pub use crate::poller::{Event, Interest, Poller, PollerKind, PollerStats, Waker};
     pub use crate::pool::WorkerPool;

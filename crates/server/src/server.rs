@@ -61,16 +61,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use strudel_core::engine::{
-    hint_from_refinement, IlpEngine, IlpEngineConfig, PortfolioArm, PortfolioEngine, RefineOutcome,
-    RefinementHint, SolveStats,
-};
-use strudel_core::prelude::{
-    highest_theta, lowest_k, HighestThetaOptions, RefinementEngine, SweepDirection,
-};
+use strudel_core::engine::{hint_from_refinement, IlpEngine, IlpEngineConfig, RefinementHint};
+use strudel_core::prelude::{highest_theta, lowest_k, HighestThetaOptions, SweepDirection};
 use strudel_core::wire::{WireHighestTheta, WireLowestK, WireOutcome};
 
-use crate::hints::{view_identities, HintIndex, SolveTelemetry, SolvedHint, SolverMode};
+use crate::hints::{view_identities, HintIndex, SolveTelemetry, SolvedHint};
 
 use crate::cache::{
     CacheStats, FsyncPolicy, LruCache, OwnerCacheStats, PersistStats, SegmentStore,
@@ -135,11 +130,14 @@ pub struct ServerConfig {
     /// [`TenantSpecSet::parse`]). `None` runs a single unlimited
     /// `default` tenant — exactly the pre-tenancy behavior.
     pub tenants: Option<TenantSpecSet>,
-    /// Miss-path solver strategy (`serve --solver`). The default honors
-    /// each request's `engine` field; `ilp` and `portfolio` additionally
-    /// warm-start solves from the nearest cached neighbor (see
-    /// [`SolverMode`] and [`crate::hints`]).
-    pub solver: SolverMode,
+    /// The engine every solve runs (`serve --solver ilp|greedy`). It
+    /// overrides the request's `engine` field before the cache key is
+    /// taken, so the key, the segment record, the hint bucket and the span
+    /// all name the engine that ran. `None` (`--solver request`, the
+    /// default) runs the engine each request names. `Some(Ilp)` also
+    /// warm-starts `refine` solves from the nearest solved neighbor (see
+    /// [`crate::hints`]).
+    pub solver: Option<EngineKind>,
     /// Trace-sampling divisor (`serve --trace-sample N`): every Nth solve
     /// request is recorded as a flight-recorder span; 0 disables sampling.
     /// `None` consults the `STRUDEL_TRACE_SAMPLE` environment override (the
@@ -166,7 +164,7 @@ impl Default for ServerConfig {
             auto_promote: None,
             poller: None,
             tenants: None,
-            solver: SolverMode::default(),
+            solver: None,
             trace_sample: None,
             trace_slow_ms: None,
         }
@@ -228,8 +226,8 @@ struct Shared {
     /// `WorkerPool::drop`, which joins that very thread (a self-join that
     /// never returns).
     completions: Arc<Mutex<Vec<Completion>>>,
-    /// Miss-path solver strategy (`--solver`).
-    solver: SolverMode,
+    /// The engine that overrides every request's (`--solver`).
+    solver: Option<EngineKind>,
     /// The observability surface: span sampling, stage histograms, and the
     /// flight recorder (`--trace-sample` / `--trace-slow-ms`).
     observe: ObserveState,
@@ -243,6 +241,8 @@ struct Completion {
     key: CacheKey,
     tenant: String,
     outcome: Result<String, String>,
+    /// The engine that ran, as the cache key names it.
+    engine: EngineKind,
     /// Solver-core counters and the exported solution for the hint index.
     telemetry: SolveTelemetry,
 }
@@ -300,12 +300,6 @@ struct Metrics {
     solver_conflicts: AtomicU64,
     /// `trace` requests served.
     trace: AtomicU64,
-    /// Portfolio races won by the greedy arm.
-    portfolio_greedy: AtomicU64,
-    /// Portfolio races won by the warm ILP arm.
-    portfolio_warm: AtomicU64,
-    /// Portfolio races won by the cold ILP arm.
-    portfolio_cold: AtomicU64,
 }
 
 impl Metrics {
@@ -356,11 +350,13 @@ pub struct WireStats {
     pub connections_json: u64,
 }
 
-/// Solver-core block of the `status` payload: how the miss path computed,
-/// how often warm starts landed, and how the portfolio races resolved.
+/// Solver-core block of the `status` payload: how the miss path computed
+/// and how often warm starts landed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Active solver mode name (`request`, `portfolio`, `ilp`, `greedy`).
+    /// The `--solver` setting: `request` when each request's `engine`
+    /// field runs, else the name of the engine that overrides it (`ilp`,
+    /// `greedy`).
     pub mode: &'static str,
     /// Solves dispatched without a warm-start seed.
     pub cold_solves: u64,
@@ -378,12 +374,6 @@ pub struct SolverStats {
     pub propagations: u64,
     /// Search conflicts (dead ends) across all solves.
     pub conflicts: u64,
-    /// Portfolio races won by the greedy arm.
-    pub portfolio_greedy: u64,
-    /// Portfolio races won by the warm ILP arm.
-    pub portfolio_warm: u64,
-    /// Portfolio races won by the cold ILP arm.
-    pub portfolio_cold: u64,
 }
 
 /// A point-in-time view of the server's counters (the `status` payload).
@@ -437,7 +427,7 @@ pub struct StatusSnapshot {
     pub tenant_cache: Vec<OwnerCacheStats>,
     /// Wire-level traffic counters and the per-connection framing roll-up.
     pub wire: WireStats,
-    /// Solver-core counters: warm starts, repairs, nodes, portfolio wins.
+    /// Solver-core counters: warm starts, repairs, nodes.
     pub solver: SolverStats,
     /// `trace` requests served.
     pub traces: u64,
@@ -567,14 +557,6 @@ impl StatusSnapshot {
                 ("nodes", Json::Int(self.solver.nodes as i64)),
                 ("propagations", Json::Int(self.solver.propagations as i64)),
                 ("conflicts", Json::Int(self.solver.conflicts as i64)),
-                (
-                    "portfolio",
-                    Json::obj(vec![
-                        ("greedy", Json::Int(self.solver.portfolio_greedy as i64)),
-                        ("ilp_warm", Json::Int(self.solver.portfolio_warm as i64)),
-                        ("ilp_cold", Json::Int(self.solver.portfolio_cold as i64)),
-                    ]),
-                ),
             ])
         };
         let wire = Json::obj(vec![
@@ -963,7 +945,7 @@ fn snapshot(shared: &Shared) -> StatusSnapshot {
         tenant_cache,
         wire,
         solver: SolverStats {
-            mode: shared.solver.name(),
+            mode: shared.solver.map_or("request", EngineKind::name),
             cold_solves: metrics.solver_cold.load(Ordering::Relaxed),
             warm_solves: metrics.solver_warm.load(Ordering::Relaxed),
             repaired_hints: metrics.solver_repaired.load(Ordering::Relaxed),
@@ -972,9 +954,6 @@ fn snapshot(shared: &Shared) -> StatusSnapshot {
             nodes: metrics.solver_nodes.load(Ordering::Relaxed),
             propagations: metrics.solver_propagations.load(Ordering::Relaxed),
             conflicts: metrics.solver_conflicts.load(Ordering::Relaxed),
-            portfolio_greedy: metrics.portfolio_greedy.load(Ordering::Relaxed),
-            portfolio_warm: metrics.portfolio_warm.load(Ordering::Relaxed),
-            portfolio_cold: metrics.portfolio_cold.load(Ordering::Relaxed),
         },
         traces: metrics.trace.load(Ordering::Relaxed),
         observe: shared.observe.snapshot(),
@@ -2220,7 +2199,7 @@ impl EventLoop {
                     &body,
                 )))
             }
-            Request::Solve(solve) => {
+            Request::Solve(mut solve) => {
                 // The span (if this request is traced) rides the whole
                 // pipeline: stage laps are stamped at each gate below and
                 // the span finishes when the response bytes are flushed.
@@ -2228,6 +2207,13 @@ impl EventLoop {
                     self.shared
                         .observe
                         .begin(conn, solve.op.name(), self.pending_decode_us);
+                // `--solver ilp|greedy` picks the engine for every request.
+                // It replaces the request's choice before the key is taken,
+                // so the cache, the segment, the hint bucket and the span
+                // all name the engine that runs.
+                if let Some(engine) = self.shared.solver {
+                    solve.engine = engine;
+                }
                 let key = solve.cache_key();
                 // Ownership gate: a sharded server answers only keys its
                 // ring arc covers. Misrouted or stale-ring requests get the
@@ -2388,14 +2374,15 @@ impl EventLoop {
                         metrics.flight_leaders.fetch_add(1, Ordering::Relaxed);
                         self.shared.tenants.begin_solve(&tenant);
                         self.pending_jobs += 1;
-                        // Warm-start lookup: under a hint-consuming solver
-                        // mode, a `refine` miss first asks the neighbor
-                        // index for the nearest solved instance of the
-                        // same question (params string, tenant included)
-                        // over an almost-identical signature set. The hint
-                        // travels into the worker; the index stays here.
-                        let mode = self.shared.solver;
-                        let hint = if solve.op == SolveOp::Refine && mode.wants_hints() {
+                        // Warm-start lookup: under `--solver ilp`, a
+                        // `refine` miss first asks the neighbor index for
+                        // the nearest solved instance of the same question
+                        // (params string, tenant included) over an
+                        // almost-identical signature set. The hint travels
+                        // into the worker; the index stays here.
+                        let warm_starts = solve.op == SolveOp::Refine
+                            && self.shared.solver == Some(EngineKind::Ilp);
+                        let hint = if warm_starts {
                             metrics.solver_seed_lookups.fetch_add(1, Ordering::Relaxed);
                             let identities = view_identities(&solve.view);
                             let hint = self.hints.lookup(&key.params, &identities);
@@ -2416,7 +2403,7 @@ impl EventLoop {
                             // regardless — followers are parked on it.
                             let (outcome, telemetry) =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    solve_job(&solve, mode, hint)
+                                    solve_job(&solve, warm_starts, hint)
                                 }))
                                 .unwrap_or_else(|_| {
                                     (
@@ -2430,6 +2417,7 @@ impl EventLoop {
                                 .push(Completion {
                                     key,
                                     tenant,
+                                    engine: solve.engine,
                                     outcome,
                                     telemetry,
                                 });
@@ -2488,10 +2476,7 @@ impl EventLoop {
                             self.deliver_to_subscribers(line, ids);
                         }
                     }
-                    let engine = completion
-                        .telemetry
-                        .winner
-                        .unwrap_or_else(|| self.shared.solver.name());
+                    let engine = completion.engine.name();
                     let nodes = completion.telemetry.nodes;
                     for (rank, mut waiter) in tokens.into_iter().enumerate() {
                         let source = if rank == 0 {
@@ -2554,18 +2539,6 @@ impl EventLoop {
         metrics
             .solver_conflicts
             .fetch_add(telemetry.conflicts, Ordering::Relaxed);
-        match telemetry.winner {
-            Some("greedy") => {
-                metrics.portfolio_greedy.fetch_add(1, Ordering::Relaxed);
-            }
-            Some("ilp-warm") => {
-                metrics.portfolio_warm.fetch_add(1, Ordering::Relaxed);
-            }
-            Some("ilp-cold") => {
-                metrics.portfolio_cold.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
         if completion.outcome.is_ok() {
             if let Some(solved) = &telemetry.solved {
                 self.hints
@@ -2857,75 +2830,46 @@ fn assemble_batch(items: Vec<Option<Msg>>) -> Msg {
 
 /// Runs one solve on the worker thread. Returns the canonical serialization
 /// of the result object (or an error message) plus the solver telemetry the
-/// event loop rolls into its counters and neighbor index.
+/// event loop rolls into its counters and neighbor index. `warm_starts`
+/// marks a `refine` under `--solver ilp`: `hint` came from the neighbor
+/// index, and a solution is exported back to it.
 fn solve_job(
     request: &SolveRequest,
-    mode: SolverMode,
+    warm_starts: bool,
     hint: Option<RefinementHint>,
 ) -> (Result<String, String>, SolveTelemetry) {
     let mut telemetry = SolveTelemetry::default();
-    let outcome = solve_job_inner(request, mode, hint, &mut telemetry);
+    let outcome = solve_job_inner(request, warm_starts, hint, &mut telemetry);
     (outcome, telemetry)
 }
 
 fn solve_job_inner(
     request: &SolveRequest,
-    mode: SolverMode,
+    warm_starts: bool,
     hint: Option<RefinementHint>,
     telemetry: &mut SolveTelemetry,
 ) -> Result<String, String> {
-    // `refine` is the solver core's op: it can warm-start, race the
-    // portfolio, and export its solution for future neighbors. The sweep
-    // ops below only pick their engine per mode.
-    if request.op == SolveOp::Refine {
+    // An exact `refine` is the solver core's op: it reports its search,
+    // can start from a neighbor's hint, and can export its solution for
+    // future neighbors. Every other solve runs the request's engine as
+    // built.
+    if request.op == SolveOp::Refine && request.engine == EngineKind::Ilp {
         let k = request.k.expect("validated at decode");
         let theta = request.theta.expect("validated at decode");
-        let (outcome, stats): (RefineOutcome, Option<SolveStats>) = match mode {
-            SolverMode::Request => {
-                let engine = request.engine.build(request.time_limit);
-                let outcome = engine
-                    .refine(&request.view, &request.spec, k, theta)
-                    .map_err(|err| err.to_string())?;
-                (outcome, None)
-            }
-            SolverMode::Greedy => {
-                let engine = EngineKind::Greedy.build(request.time_limit);
-                let outcome = engine
-                    .refine(&request.view, &request.spec, k, theta)
-                    .map_err(|err| err.to_string())?;
-                (outcome, None)
-            }
-            SolverMode::Ilp => {
-                let engine = IlpEngine::with_config(IlpEngineConfig {
-                    time_limit: request.time_limit,
-                    ..IlpEngineConfig::default()
-                });
-                let (outcome, stats) = engine
-                    .refine_with_hint(&request.view, &request.spec, k, theta, hint.as_ref())
-                    .map_err(|err| err.to_string())?;
-                (outcome, Some(stats))
-            }
-            SolverMode::Portfolio => {
-                let mut portfolio = PortfolioEngine::new();
-                if let Some(limit) = request.time_limit {
-                    portfolio = portfolio.with_time_limit(limit);
-                }
-                let raced = portfolio
-                    .refine_raced(&request.view, &request.spec, k, theta, hint.as_ref())
-                    .map_err(|err| err.to_string())?;
-                telemetry.winner = raced.winner.map(PortfolioArm::name);
-                (raced.outcome, raced.stats)
-            }
-        };
-        if let Some(stats) = stats {
-            telemetry.warm = stats.hint_vars > 0;
-            telemetry.nodes = stats.nodes;
-            telemetry.propagations = stats.propagations;
-            telemetry.conflicts = stats.conflicts;
-            telemetry.repaired =
-                telemetry.warm && stats.hint_mismatches > 0 && outcome.refinement().is_some();
-        }
-        if mode.wants_hints() {
+        let engine = IlpEngine::with_config(IlpEngineConfig {
+            time_limit: request.time_limit,
+            ..IlpEngineConfig::default()
+        });
+        let (outcome, stats) = engine
+            .refine_with_hint(&request.view, &request.spec, k, theta, hint.as_ref())
+            .map_err(|err| err.to_string())?;
+        telemetry.warm = stats.hint_vars > 0;
+        telemetry.nodes = stats.nodes;
+        telemetry.propagations = stats.propagations;
+        telemetry.conflicts = stats.conflicts;
+        telemetry.repaired =
+            telemetry.warm && stats.hint_mismatches > 0 && outcome.refinement().is_some();
+        if warm_starts {
             if let Some(refinement) = outcome.refinement() {
                 telemetry.solved = Some(SolvedHint {
                     identities: view_identities(&request.view),
@@ -2936,20 +2880,16 @@ fn solve_job_inner(
         return Ok(protocol::outcome_to_json(&WireOutcome::from_outcome(&outcome)).to_text());
     }
 
-    let engine: Box<dyn RefinementEngine> = match mode {
-        SolverMode::Request => request.engine.build(request.time_limit),
-        SolverMode::Greedy => EngineKind::Greedy.build(request.time_limit),
-        SolverMode::Ilp => EngineKind::Ilp.build(request.time_limit),
-        SolverMode::Portfolio => {
-            let portfolio = PortfolioEngine::new();
-            Box::new(match request.time_limit {
-                Some(limit) => portfolio.with_time_limit(limit),
-                None => portfolio,
-            })
-        }
-    };
+    let engine = request.engine.build(request.time_limit);
     let result = match request.op {
-        SolveOp::Refine => unreachable!("handled above"),
+        SolveOp::Refine => {
+            let k = request.k.expect("validated at decode");
+            let theta = request.theta.expect("validated at decode");
+            let outcome = engine
+                .refine(&request.view, &request.spec, k, theta)
+                .map_err(|err| err.to_string())?;
+            protocol::outcome_to_json(&WireOutcome::from_outcome(&outcome))
+        }
         SolveOp::HighestTheta => {
             let k = request.k.expect("validated at decode");
             let mut options = HighestThetaOptions::default();

@@ -57,8 +57,7 @@ pub struct SpanRecord {
     /// How the request resolved: `cache`, `solved`, `coalesced`, `error`,
     /// or a refusal (`wrong_shard`, `not_leader`, `over_quota`).
     pub outcome: &'static str,
-    /// The solver engine/arm that computed the result (empty when no
-    /// solve ran).
+    /// The engine that computed the result (empty when no solve ran).
     pub engine: &'static str,
     /// Branch-and-bound nodes of the solve (0 when no solve ran).
     pub nodes: u64,
@@ -122,7 +121,7 @@ impl ActiveSpan {
         }
     }
 
-    /// Names the solver engine/arm and its node count.
+    /// Names the engine that ran and its node count.
     pub fn set_engine(&mut self, engine: &'static str, nodes: u64) {
         self.record.engine = engine;
         self.record.nodes = nodes;

@@ -743,14 +743,16 @@ fn shutdown_stops_accepting_new_connections() {
 /// The solver core's serving-stack seam: under `--solver ilp` the first
 /// `refine` of a family solves cold and registers its solution in the
 /// neighbor index; an S+1 variant of the same question then solves warm,
-/// and the `status` solver block accounts both.
+/// and the `status` solver block accounts both. The variant names the
+/// hybrid engine: `--solver ilp` runs it exactly, so it asks the same
+/// question and lands in the same hint bucket.
 #[test]
 fn a_neighboring_instance_solves_warm_under_the_ilp_solver_mode() {
     let handle = server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         cache_capacity: 64,
-        solver: SolverMode::Ilp,
+        solver: Some(EngineKind::Ilp),
         ..ServerConfig::default()
     })
     .expect("binding an ephemeral port");
@@ -766,11 +768,11 @@ fn a_neighboring_instance_solves_warm_under_the_ilp_solver_mode() {
     ];
     let mut neighbor = base.clone();
     neighbor.push((vec![1, 2], 3)); // S+1: one extra signature
-    let request = |signatures: Vec<(Vec<usize>, usize)>| SolveRequest {
+    let request = |signatures: Vec<(Vec<usize>, usize)>, engine| SolveRequest {
         op: SolveOp::Refine,
         view: SignatureView::from_counts(properties.clone(), signatures).expect("valid view"),
         spec: SigmaSpec::Coverage,
-        engine: EngineKind::Ilp,
+        engine,
         k: Some(2),
         theta: Some(Ratio::new(1, 2)),
         step: None,
@@ -780,9 +782,13 @@ fn a_neighboring_instance_solves_warm_under_the_ilp_solver_mode() {
         tenant: None,
     };
 
-    let cold = client.solve(&request(base)).expect("cold solve");
+    let cold = client
+        .solve(&request(base, EngineKind::Ilp))
+        .expect("cold solve");
     assert_eq!(cold.source(), Some(Source::Solved));
-    let warm = client.solve(&request(neighbor)).expect("warm solve");
+    let warm = client
+        .solve(&request(neighbor, EngineKind::Hybrid))
+        .expect("warm solve");
     assert_eq!(warm.source(), Some(Source::Solved));
 
     let status = client.status().expect("status");
@@ -807,4 +813,82 @@ fn a_neighboring_instance_solves_warm_under_the_ilp_solver_mode() {
 
     client.shutdown().expect("shutdown");
     handle.wait();
+}
+
+/// `--solver greedy` answers a hybrid `refine` with greedy's answer, and
+/// the segment records it under the engine that ran. Greedy cannot decide
+/// Cov with k = 1 and θ = 1 over two distinct signatures, which is
+/// infeasible. A default server on the same segment must not replay that
+/// `unknown` for the hybrid question: it solves it, while a request that
+/// names greedy hits the replayed entry.
+#[test]
+fn the_cache_key_names_the_engine_that_ran_under_a_solver_override() {
+    let path = persist_path("solver-override");
+    std::fs::remove_file(&path).ok();
+    let config = |solver| ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        cache_capacity: 16,
+        persist_path: Some(path.clone()),
+        solver,
+        ..ServerConfig::default()
+    };
+    let request = |engine| SolveRequest {
+        op: SolveOp::Refine,
+        view: SignatureView::from_counts(
+            vec!["http://ex/p0".into(), "http://ex/p1".into()],
+            vec![(vec![0], 4), (vec![0, 1], 3)],
+        )
+        .expect("valid view"),
+        spec: SigmaSpec::Coverage,
+        engine,
+        k: Some(1),
+        theta: Some(Ratio::ONE),
+        step: None,
+        max_k: None,
+        time_limit: None,
+        routing: None,
+        tenant: None,
+    };
+    let answer = |response: &Response| {
+        response
+            .result()
+            .and_then(|result| result.get("outcome"))
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+    };
+
+    {
+        let handle = server::start(&config(Some(EngineKind::Greedy))).expect("greedy server");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let response = client
+            .solve(&request(EngineKind::Hybrid))
+            .expect("greedy solve");
+        assert_eq!(response.source(), Some(Source::Solved));
+        assert_eq!(answer(&response).as_deref(), Some("unknown"));
+        client.shutdown().expect("shutdown");
+        handle.wait();
+    }
+
+    let handle = server::start(&config(None)).expect("default server");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let hybrid = client
+        .solve(&request(EngineKind::Hybrid))
+        .expect("hybrid solve");
+    assert_eq!(
+        (hybrid.source(), answer(&hybrid).as_deref()),
+        (Some(Source::Solved), Some("infeasible")),
+        "greedy's answer must not be replayed for the hybrid question"
+    );
+    let greedy = client
+        .solve(&request(EngineKind::Greedy))
+        .expect("greedy lookup");
+    assert_eq!(
+        (greedy.source(), answer(&greedy).as_deref()),
+        (Some(Source::Cache), Some("unknown")),
+        "the replayed entry answers the greedy question"
+    );
+    client.shutdown().expect("shutdown");
+    handle.wait();
+    std::fs::remove_file(&path).ok();
 }
