@@ -90,6 +90,48 @@ fn requests_per_second(count: usize, run: impl FnOnce()) -> f64 {
     count as f64 / begin.elapsed().as_secs_f64()
 }
 
+/// Checks a `refine` answer against its request rather than against
+/// another answer: a refinement at the request's θ with at most k sorts
+/// that covers every signature of the view once, each sort's subjects and
+/// σ recomputed from the view, and each σ at or above θ.
+fn check_refinement(request: &SolveRequest, result_text: &str) -> Result<(), String> {
+    let result = strudel_server::json::parse(result_text).map_err(|err| err.to_string())?;
+    let wire = result
+        .get("refinement")
+        .ok_or_else(|| format!("not a refinement: {result_text}"))?;
+    let refinement = strudel_server::protocol::refinement_from_json(wire)
+        .map_err(|err| err.to_string())?
+        .to_refinement()
+        .map_err(|err| err.to_string())?;
+    let k = request.k.expect("a refine request has k");
+    if refinement.k() > k {
+        return Err(format!("{} sorts for k = {k}", refinement.k()));
+    }
+    if Some(refinement.threshold) != request.theta {
+        return Err(format!(
+            "threshold {} for θ {:?}",
+            refinement.threshold, request.theta
+        ));
+    }
+    refinement
+        .validate(&request.view)
+        .map_err(|err| err.to_string())?;
+    for sort in &refinement.sorts {
+        let sub = request.view.subset(&sort.signatures);
+        let sigma = request.spec.evaluate(&sub).map_err(|err| err.to_string())?;
+        if (sort.subjects, sort.sigma) != (sub.subject_count(), sigma) {
+            return Err(format!(
+                "sort {:?} reports {} subjects at σ {}, recomputed {} at σ {sigma}",
+                sort.signatures,
+                sort.subjects,
+                sort.sigma,
+                sub.subject_count()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Persists one section's numbers as `BENCH_<section>.json` — the
 /// trajectory file CI archives per run. Integer fields only, so two runs
 /// diff line by line. Emission failure is reported, never fatal: the
@@ -1122,8 +1164,8 @@ fn main() {
     // ── Warm-started solver ─────────────────────────────────────────────
     // The CP core's miss-path win: under `--solver ilp` the compute pool
     // looks up the nearest previously-solved neighbor (signature-set
-    // distance, tenant-scoped) and seeds the branch-and-bound search with
-    // its assignment. The workload is an incremental S±1 family — each
+    // distance, tenant-scoped) and seeds the CP search with its
+    // assignment. The workload is an incremental S±1 family — each
     // variant adds one signature to a shared base view — solved twice:
     //
     //   cold: every variant under its own tenant, so every hint bucket is
@@ -1131,22 +1173,35 @@ fn main() {
     //   warm: every variant under one tenant primed with the base
     //         instance, so every solve seeds from a neighbor.
     //
-    // Asserted: the warm leg clears 1.3× the cold leg's throughput, the
-    // refinements are byte-identical (hints reorder the search, they never
-    // change the answer), every warm solve actually seeded (status
-    // counters), the cold leg stays under the seed solver's node ceiling,
-    // and seeding never explores more nodes than a cold search.
-    // 7, not 8: a cold search returns the first feasible refinement in
-    // input order, a seeded one the first in the order its hint prefers,
-    // and the byte-identity bar below needs the two to coincide. They do
-    // for variants 1–7. Variant 8, solved in process, does not: its seeded
-    // search walks straight to the base's refinement, which still meets
-    // θ (14 nodes, min σ 61/121), while its cold search first finds a
-    // different partition (355 nodes, min σ 553/1098).
+    // Asserted: the warm leg clears 1.3× the cold leg's throughput, every
+    // warm answer is a refinement that meets its own request, a second
+    // tenant with the same history gets byte-identical answers, every warm
+    // solve actually seeded (status counters), the cold leg stays under
+    // the seed solver's node ceiling, and the warm leg's node sum is no
+    // larger than the cold leg's.
+    //
+    // Why the warm answers are checked against their requests and not
+    // against the cold leg: a hint orders the values the search tries and
+    // never the set it tries, so a seeded solve decides what a cold one
+    // decides, but it returns the first refinement in its hint's order
+    // where a cold one returns the first in input order. Those can be
+    // different partitions that both meet θ. Here the hint index seeds
+    // each variant from the tenant's most recent neighbor, so variant 7 is
+    // seeded from variant 6's answer, which still meets θ for variant 7
+    // (min σ 169/333), while its cold search meets another partition first
+    // (min σ 1/2). A seeded answer therefore depends on what the tenant
+    // solved before, and byte-identity is owed only between tenants with
+    // the same history.
+    //
+    // 7 variants: the node ceiling below was measured over variants 1–7,
+    // and the tier-1 pin named there covers the same seven.
     const SOLVER_VARIANTS: usize = 7;
     // The seed solver explored 5369 nodes on the Coverage θ=1/2 bench
     // family; the event-driven core's cold leg must come in under that
-    // ceiling, and neighbor seeding must never explore *more* than cold.
+    // ceiling. The last bar compares the legs' node sums only. Per
+    // variant, `s_pm_1_family_keeps_its_cold_and_warm_trees`
+    // (tests/tests/reproduction_smoke.rs) asserts that a seeded solve
+    // explores no more nodes than a cold one, and pins both sums.
     const SOLVER_NODE_CEILING: i64 = 5369;
     let solver_request = |variant: usize, tenant: Option<String>| -> SolveRequest {
         let properties: Vec<String> = (0..10).map(|i| format!("http://ex/p{i}")).collect();
@@ -1229,13 +1284,13 @@ fn main() {
             warm_texts.push(response.result_text().expect("payload").to_owned());
         }
     });
-    for (variant, (cold, warm)) in cold_texts.iter().zip(&warm_texts).enumerate() {
-        assert_eq!(
-            cold,
-            warm,
-            "variant {} diverged between the cold and warm legs",
-            variant + 1
-        );
+    for (variant, (cold, warm)) in (1..=SOLVER_VARIANTS).zip(cold_texts.iter().zip(&warm_texts)) {
+        let request = solver_request(variant, None);
+        for (leg, text) in [("cold", cold), ("warm", warm)] {
+            if let Err(err) = check_refinement(&request, text) {
+                panic!("variant {variant}'s {leg} answer does not meet its request: {err}");
+            }
+        }
     }
 
     let status = client.status().expect("status");
@@ -1266,6 +1321,27 @@ fn main() {
          (cold ceiling {SOLVER_NODE_CEILING})"
     );
     print_observe_stages(status.result().expect("status result"));
+
+    // The replay: a fresh tenant primed with the base and then sent the
+    // variants in the same order seeds every solve from the same
+    // neighbor, so its answers must be the warm leg's, byte for byte.
+    let replay = || Some("replay".to_owned());
+    let prime = client
+        .solve(&solver_request(0, replay()))
+        .expect("prime the replay tenant");
+    assert_eq!(prime.source(), Some(Source::Solved));
+    for (variant, warm) in (1..=SOLVER_VARIANTS).zip(&warm_texts) {
+        let response = client
+            .solve(&solver_request(variant, replay()))
+            .expect("replay leg");
+        assert_eq!(response.source(), Some(Source::Solved));
+        assert_eq!(
+            response.result_text(),
+            Some(warm.as_str()),
+            "variant {variant}'s seeded answer differs between two tenants \
+             with the same history"
+        );
+    }
     assert_eq!(
         warm_solves, SOLVER_VARIANTS as i64,
         "every warm-leg solve must seed from a neighbor"
@@ -1286,10 +1362,12 @@ fn main() {
         "the event-driven core must stay under the seed solver's node \
          ceiling cold, explored {cold_leg_nodes} vs {SOLVER_NODE_CEILING}"
     );
+    // The legs' sums: the per-variant bar is the tier-1 pin named at
+    // SOLVER_NODE_CEILING.
     assert!(
         warm_leg_nodes <= cold_leg_nodes,
-        "neighbor seeding must never explore more nodes than a cold \
-         search, explored {warm_leg_nodes} vs {cold_leg_nodes}"
+        "the warm leg must explore no more nodes in sum than the cold \
+         leg, explored {warm_leg_nodes} vs {cold_leg_nodes}"
     );
     emit_trajectory(
         "solver",

@@ -1,8 +1,9 @@
 //! `strudel refine` — discover a sort refinement of a dataset.
 
+use strudel_core::engine::{RefineOutcome, RefinementEngine};
 use strudel_core::prelude::{
-    annotate_refinement, exists_sort_refinement, format_sigma, highest_theta, lowest_k,
-    render_refinement, HighestThetaOptions, RenderOptions, SweepDirection,
+    annotate_refinement, format_sigma, highest_theta, lowest_k, render_refinement,
+    HighestThetaOptions, RenderOptions, SweepDirection,
 };
 use strudel_core::refinement::SortRefinement;
 use strudel_core::sigma::SigmaSpec;
@@ -78,26 +79,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     ));
 
     let refinement: Option<SortRefinement> = match (k, theta) {
-        (Some(k), Some(theta)) => {
-            let answer = exists_sort_refinement(&view, &spec, theta, k, engine.as_ref())?;
-            out.push_str(&format!(
-                "refinement with ≤ {k} sorts and θ = {theta}: {}\n",
-                match answer {
-                    Some(true) => "exists",
-                    Some(false) => "does not exist",
-                    None => "undecided within the engine's budget",
-                }
-            ));
-            if answer == Some(true) {
-                // Re-run to obtain the witness refinement for reporting.
-                match engine.as_ref().refine(&view, &spec, k, theta)? {
-                    strudel_core::engine::RefineOutcome::Refinement(refinement) => Some(refinement),
-                    _ => None,
-                }
-            } else {
-                None
-            }
-        }
+        (Some(k), Some(theta)) => decide(&view, &spec, k, theta, engine.as_ref(), &mut out)?,
         (Some(k), None) => {
             let mut options = HighestThetaOptions::default();
             if let Some(step) = parsed.option("step") {
@@ -175,6 +157,32 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         ));
     }
     Ok(out)
+}
+
+/// Decision mode: appends the answer to `out` and returns the witness of
+/// "exists", both from one `engine.refine` call. A second solve could run
+/// out of its own budget and leave "exists" without sorts.
+fn decide(
+    view: &SignatureView,
+    spec: &SigmaSpec,
+    k: usize,
+    theta: Ratio,
+    engine: &dyn RefinementEngine,
+    out: &mut String,
+) -> Result<Option<SortRefinement>, CliError> {
+    let outcome = engine.refine(view, spec, k, theta)?;
+    out.push_str(&format!(
+        "refinement with ≤ {k} sorts and θ = {theta}: {}\n",
+        match outcome {
+            RefineOutcome::Refinement(_) => "exists",
+            RefineOutcome::Infeasible => "does not exist",
+            RefineOutcome::Unknown => "undecided within the engine's budget",
+        }
+    ));
+    Ok(match outcome {
+        RefineOutcome::Refinement(refinement) => Some(refinement),
+        _ => None,
+    })
 }
 
 fn describe_refinement(view: &SignatureView, refinement: &SortRefinement) -> String {
@@ -293,6 +301,61 @@ mod tests {
             assert!(output.contains("undecided"), "{engine}: {output}");
         }
         std::fs::remove_file(&file).ok();
+    }
+
+    /// Finds a refinement on its first call, through the exact engine, and
+    /// answers `Unknown` on every later one, as a spent budget would.
+    struct OnceEngine {
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl RefinementEngine for OnceEngine {
+        fn name(&self) -> &'static str {
+            "once"
+        }
+
+        fn refine(
+            &self,
+            view: &SignatureView,
+            spec: &SigmaSpec,
+            k: usize,
+            theta: Ratio,
+        ) -> Result<RefineOutcome, strudel_core::error::RefineError> {
+            self.calls.set(self.calls.get() + 1);
+            if self.calls.get() > 1 {
+                return Ok(RefineOutcome::Unknown);
+            }
+            strudel_core::engine::IlpEngine::new().refine(view, spec, k, theta)
+        }
+    }
+
+    /// "exists" prints the sorts of the refinement that proved it: the
+    /// decision takes one engine call, so a later solve's budget cannot
+    /// leave the answer without its witness.
+    #[test]
+    fn decision_mode_prints_the_witness_of_its_one_solve() {
+        let view = SignatureView::from_counts(
+            vec!["http://ex/a".into(), "http://ex/b".into()],
+            vec![(vec![0], 5), (vec![0, 1], 3), (vec![1], 2)],
+        )
+        .unwrap();
+        let engine = OnceEngine {
+            calls: std::cell::Cell::new(0),
+        };
+        let mut out = String::new();
+        let witness = decide(
+            &view,
+            &SigmaSpec::Coverage,
+            2,
+            Ratio::new(1, 2),
+            &engine,
+            &mut out,
+        )
+        .unwrap();
+        assert!(out.ends_with(": exists\n"), "{out}");
+        let witness = witness.expect("\"exists\" comes with its witness");
+        assert!(describe_refinement(&view, &witness).contains("implicit sort(s)"));
+        assert_eq!(engine.calls.get(), 1);
     }
 
     #[test]

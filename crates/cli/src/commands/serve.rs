@@ -74,7 +74,9 @@ pub const USAGE: &str = "strudel serve [--addr HOST:PORT] [--workers N] [--cache
   (the default) runs the engine each request names; ilp or greedy
   replaces it before the cache key is taken, so the cache, the segment
   and the trace name the engine that ran. ilp also warm-starts each
-  refine from the nearest solved neighbor's solution. The status
+  refine from the nearest solved neighbor's solution; a seeded refine
+  decides what a cold one does but may return another refinement that
+  meets the same k and theta. The status
   payload's 'solver' block reports cold/warm solve counts, the seed
   hit-rate, repaired hints, nodes, propagations and conflicts.
   --trace-sample N records every Nth solve request as a lifecycle span

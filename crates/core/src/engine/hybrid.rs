@@ -17,9 +17,7 @@ use strudel_rules::prelude::Ratio;
 use crate::error::RefineError;
 use crate::sigma::SigmaSpec;
 
-use super::{
-    GreedyConfig, GreedyEngine, IlpEngine, IlpEngineConfig, RefineOutcome, RefinementEngine,
-};
+use super::{GreedyConfig, GreedyEngine, IlpEngine, RefineOutcome, RefinementEngine};
 
 /// Greedy-then-ILP engine.
 #[derive(Clone, Debug, Default)]
@@ -89,11 +87,7 @@ impl RefinementEngine for HybridEngine {
                 if remaining.is_zero() {
                     return Ok(RefineOutcome::Unknown);
                 }
-                let ilp = IlpEngine::with_config(IlpEngineConfig {
-                    time_limit: Some(remaining),
-                    ..self.ilp.config().clone()
-                });
-                ilp.refine(view, spec, k, theta)
+                IlpEngine::with_time_limit(remaining).refine(view, spec, k, theta)
             }
         }
     }

@@ -2,14 +2,12 @@
 
 use std::time::Duration;
 
-use strudel_ilp::prelude::{
-    presolve, SolveStats, SolveStatus, Solver, SolverConfig, VarId, WarmStart,
-};
+use strudel_ilp::prelude::{presolve, SolveStats, SolveStatus, Solver, SolverConfig, WarmStart};
 use strudel_rdf::signature::SignatureView;
 use strudel_rules::eval::RoughCountTable;
 use strudel_rules::prelude::Ratio;
 
-use crate::encode::{encode_with_table, EncodingConfig};
+use crate::encode::{encode_with_table, Encoding, EncodingConfig};
 use crate::error::RefineError;
 use crate::refinement::SortRefinement;
 use crate::sigma::SigmaSpec;
@@ -19,8 +17,6 @@ use super::{RefineOutcome, RefinementEngine};
 /// Configuration of the ILP engine.
 #[derive(Clone, Debug, Default)]
 pub struct IlpEngineConfig {
-    /// Configuration of the Section-6 encoding (symmetry breaking etc.).
-    pub encoding: EncodingConfig,
     /// Wall-clock limit per decision-problem instance. `None` = unlimited,
     /// mirroring the paper's observation that proving infeasibility can take
     /// orders of magnitude longer than finding a solution.
@@ -98,13 +94,7 @@ impl IlpEngine {
     pub fn with_time_limit(limit: Duration) -> Self {
         IlpEngine::with_config(IlpEngineConfig {
             time_limit: Some(limit),
-            ..IlpEngineConfig::default()
         })
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &IlpEngineConfig {
-        &self.config
     }
 
     /// Solves one instance reusing a precomputed rough-count table (the table
@@ -152,9 +142,9 @@ impl IlpEngine {
         theta: Ratio,
         hint: Option<&RefinementHint>,
     ) -> Result<(RefineOutcome, SolveStats), RefineError> {
-        let mut encoding = encode_with_table(view, table, k, theta, &self.config.encoding)?;
+        let mut encoding = encode_with_table(view, table, k, theta, &EncodingConfig)?;
         presolve(&mut encoding.model);
-        let warm = hint.and_then(|hint| self.warm_start_for(&encoding, view, hint));
+        let warm = hint.and_then(|hint| warm_start_for(&encoding, view, hint));
         let solver = Solver::with_config(SolverConfig {
             time_limit: self.config.time_limit,
         });
@@ -175,65 +165,40 @@ impl IlpEngine {
         };
         Ok((outcome, stats))
     }
+}
 
-    /// Translates a refinement-level hint into solver variable values.
-    ///
-    /// The hint's sort indexes are opaque labels from the neighbor's
-    /// solution; the encoding's labels are pinned by the symmetry-breaking
-    /// `hash(i) ≤ hash(i+1)` constraints (empty sorts hash to 0, so used
-    /// sorts occupy the *highest* labels in ascending hash order). Relabeling
-    /// the hint the same way lands it exactly on the canonical solution's
-    /// labels, so an up-to-date hint dives conflict-free.
-    fn warm_start_for(
-        &self,
-        encoding: &crate::encode::Encoding,
-        view: &SignatureView,
-        hint: &RefinementHint,
-    ) -> Option<WarmStart> {
-        let k = encoding.k;
-        let lookup: std::collections::HashMap<u64, usize> =
-            hint.assignments.iter().copied().collect();
-        // Prior sort label → member signatures of the *new* view.
-        let mut members: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for sig in 0..view.signature_count() {
-            if let Some(&sort) = lookup.get(&signature_identity(view, sig)) {
-                members.entry(sort).or_default().push(sig);
-            }
+/// Translates a refinement-level hint into solver variable values.
+///
+/// The hint's sort indexes are opaque labels from the neighbor's solution.
+/// The search breaks the symmetry of the encoding's labels by value
+/// precedence, so the solution it reaches numbers sorts in the order their
+/// first signature appears. Relabeling the hint the same way lands it
+/// exactly on those labels, so an up-to-date hint dives conflict-free.
+fn warm_start_for(
+    encoding: &Encoding,
+    view: &SignatureView,
+    hint: &RefinementHint,
+) -> Option<WarmStart> {
+    let lookup: std::collections::HashMap<u64, usize> = hint.assignments.iter().copied().collect();
+    // Prior sort label → member signatures of the *new* view, in order.
+    let mut members: std::collections::BTreeMap<usize, Vec<usize>> =
+        std::collections::BTreeMap::new();
+    for sig in 0..view.signature_count() {
+        if let Some(&sort) = lookup.get(&signature_identity(view, sig)) {
+            members.entry(sort).or_default().push(sig);
         }
-        if members.is_empty() || members.len() > k {
-            return None;
-        }
-        let mut order: Vec<(u128, usize, usize)> = members
-            .iter()
-            .map(|(&sort, sigs)| {
-                let hash: u128 = sigs
-                    .iter()
-                    .map(|&sig| 1u128 << (sig as u32).min(self.config.encoding.max_hash_exponent))
-                    .sum();
-                let first_member = sigs[0];
-                (hash, first_member, sort)
-            })
-            .collect();
-        let offset = if self.config.encoding.symmetry_breaking {
-            // Ascending hash; used sorts take the highest labels.
-            order.sort();
-            k - order.len()
-        } else {
-            // Without symmetry breaking the canonical solution opens sorts in
-            // first-appearance order starting at label 0.
-            order.sort_by_key(|&(_, first_member, sort)| (first_member, sort));
-            0
-        };
-        let mut values: Vec<(VarId, i64)> = Vec::new();
-        for (position, &(_, _, prior_sort)) in order.iter().enumerate() {
-            let label = offset + position;
-            for &sig in &members[&prior_sort] {
-                values.push((encoding.x[label][sig], 1));
-            }
-        }
-        Some(WarmStart::from_values(values))
     }
+    if members.is_empty() || members.len() > encoding.k {
+        return None;
+    }
+    let mut order: Vec<&Vec<usize>> = members.values().collect();
+    order.sort_by_key(|sigs| sigs[0]);
+    let values = order
+        .iter()
+        .enumerate()
+        .flat_map(|(label, sigs)| sigs.iter().map(move |&sig| (encoding.x[label][sig], 1)))
+        .collect();
+    Some(WarmStart::from_values(values))
 }
 
 impl RefinementEngine for IlpEngine {

@@ -14,8 +14,10 @@
 //! Components:
 //!
 //! * [`model`] — model builder: bounded integer variables, linear
-//!   constraints, and *decision groups* (branching hints for
+//!   constraints, *decision groups* (branching hints for
 //!   assignment-shaped problems such as the paper's `X_{i,µ}` variables),
+//!   and the declaration that the groups' members are interchangeable
+//!   labels, whose symmetry the search breaks by value precedence,
 //! * [`presolve`] — cheap solution-preserving reductions,
 //! * [`engine`] — normalized rows, backtrackable bounds, and event-driven
 //!   integer bound propagation (rows watch the bound events that can raise

@@ -6,9 +6,10 @@
 //! what such solvers accept: integer variables with bounds and linear
 //! constraints with `≤ / ≥ / =` comparisons, plus *decision groups* — a
 //! branching hint declaring that a set of binary variables encodes a single
-//! "pick one of k" decision (the `X_{i,µ}` variables of the encoding). The
-//! paper's instances only ask whether a feasible assignment exists, so a
-//! model has no objective.
+//! "pick one of k" decision (the `X_{i,µ}` variables of the encoding), and
+//! the declaration that those k choices are interchangeable labels (the
+//! implicit sorts). The paper's instances only ask whether a feasible
+//! assignment exists, so a model has no objective.
 
 use std::fmt;
 
@@ -159,6 +160,7 @@ pub struct Model {
     pub(crate) vars: Vec<VarDef>,
     pub(crate) constraints: Vec<Constraint>,
     pub(crate) decision_groups: Vec<Vec<VarId>>,
+    pub(crate) interchangeable_labels: bool,
 }
 
 impl Model {
@@ -213,6 +215,30 @@ impl Model {
     pub fn add_decision_group(&mut self, vars: Vec<VarId>) {
         assert!(!vars.is_empty(), "decision group must not be empty");
         self.decision_groups.push(vars);
+    }
+
+    /// Declares that member `j` of every decision group is one and the same
+    /// label `j`, and that the labels are interchangeable: permuting them,
+    /// together with every other variable indexed by them, maps the set of
+    /// rows onto itself and so every solution to a solution.
+    ///
+    /// The search then breaks that symmetry by *value precedence* (Law &
+    /// Lee, CP 2004): it offers a group only the labels some decided group
+    /// already uses, plus the lowest unused one. This is a promise by the
+    /// caller, not something the solver checks. Every group must have the
+    /// same length, and every row family must be emitted for every label
+    /// alike (the sort-refinement encoding emits each of its families once
+    /// per implicit sort). A model that breaks the promise can be reported
+    /// infeasible although it has a solution: a group whose offered labels
+    /// are all forced to 0 is a dead end, even when a label precedence
+    /// skipped is still free.
+    pub fn declare_interchangeable_labels(&mut self) {
+        self.interchangeable_labels = true;
+    }
+
+    /// Whether [`Model::declare_interchangeable_labels`] was called.
+    pub fn labels_interchangeable(&self) -> bool {
+        self.interchangeable_labels
     }
 
     /// Number of variables.

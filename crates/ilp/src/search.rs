@@ -12,6 +12,20 @@
 //!
 //! Hints never affect *which* variable is branched on, only the value order,
 //! so the search stays complete and its status is the cold solve's.
+//!
+//! ## Value precedence
+//!
+//! A model that declares interchangeable labels is branched with value
+//! precedence: a group is offered only the labels in use plus the lowest
+//! unused one (the brancher's module docs give the symmetry argument).
+//! Hints keep that pruning sound, because the brancher fixes the *set* of
+//! alternatives before the hint orders it. A hint moves an offered label
+//! to the front and never adds one the rule skipped, so whatever order it
+//! imposes, each decision still sets a used or the lowest unused label,
+//! and every node's unused labels stay symmetric. A hint that numbers its
+//! labels in order of first use, as the refinement engine's do, is never
+//! cut off by the rule; a hint labeled otherwise loses only its unused,
+//! non-lowest labels.
 
 use std::time::Instant;
 

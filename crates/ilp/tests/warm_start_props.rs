@@ -7,6 +7,9 @@
 //!   about the best value of an objective asked as a floor: a floor at the
 //!   best value is feasible and one above it is not,
 //! * presolve and decision groups never change an answer,
+//! * declaring interchangeable labels prunes only mirror images: on
+//!   label-symmetric models the search keeps its status and its first
+//!   solution, visits no more nodes, and keeps the status under any hint,
 //! * a warm solve — seeded with an *arbitrary* hint, correct, stale, or
 //!   nonsensical — reaches exactly the same status as the cold solve of the
 //!   same model (hints reorder the search, they never remove answers),
@@ -192,6 +195,100 @@ fn decision_groups_do_not_change_answers() {
             "{context}"
         );
     }
+}
+
+/// A random label-symmetric model: 3–8 items into 2–4 bins, each item in
+/// exactly one bin (one decision group per item, member `b` is bin `b`),
+/// and the same row family for every bin: a capacity over random item
+/// weights, a floor on the bin's load, and pairs of items that may not
+/// share a bin. Tight capacities and dense conflicts make some cases
+/// infeasible.
+fn random_label_model(rng: &mut StdRng) -> (Model, Vec<VarId>) {
+    let (items, bins) = (rng.gen_range(3..9usize), rng.gen_range(2..5usize));
+    let mut model = Model::new();
+    let x: Vec<Vec<VarId>> = (0..items)
+        .map(|item| {
+            let row: Vec<VarId> = (0..bins)
+                .map(|bin| model.add_binary(format!("i{item}b{bin}")))
+                .collect();
+            let once = row.iter().fold(LinExpr::new(), |e, &v| e.plus(1, v));
+            model.add_constraint(format!("once{item}"), once, Cmp::Eq, 1);
+            model.add_decision_group(row.clone());
+            row
+        })
+        .collect();
+    let weights: Vec<i64> = (0..items)
+        .map(|_| rng.gen_range(1..4usize) as i64)
+        .collect();
+    // A capacity near the mean load, so that whether the items fit is a
+    // question for the search rather than for root propagation.
+    let mean = weights.iter().sum::<i64>() / bins as i64;
+    let capacity = mean + rng.gen_range(0..3usize) as i64;
+    let floor = rng.gen_range(0..2usize) as i64;
+    let apart: Vec<(usize, usize)> = (0..rng.gen_range(0..2 * items))
+        .map(|_| (rng.gen_range(0..items), rng.gen_range(0..items)))
+        .filter(|(a, b)| a != b)
+        .collect();
+    for bin in 0..bins {
+        let load = x
+            .iter()
+            .zip(&weights)
+            .fold(LinExpr::new(), |e, (row, &weight)| e.plus(weight, row[bin]));
+        model.add_constraint(format!("cap{bin}"), load.clone(), Cmp::Le, capacity);
+        model.add_constraint(format!("floor{bin}"), load, Cmp::Ge, floor);
+        for &(a, b) in &apart {
+            let pair = LinExpr::new().plus(1, x[a][bin]).plus(1, x[b][bin]);
+            model.add_constraint(format!("apart{a}_{b}_{bin}"), pair, Cmp::Le, 1);
+        }
+    }
+    (model, x.concat())
+}
+
+/// Declaring the bins interchangeable labels skips only subtrees that
+/// mirror one already searched. Cold, the declared search reaches the
+/// plain search's status and first solution (the plain search's first
+/// solution is the lexicographically least, which numbers its bins in
+/// order of first use) in no more nodes. Under an arbitrary hint, which
+/// may number bins in any order, both still reach the cold status.
+#[test]
+fn value_precedence_prunes_only_mirror_images() {
+    const SEED: u64 = 0x1abe15;
+    const CASES: usize = 128;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let (mut feasible, mut pruned) = (0, 0);
+    for case in 0..CASES {
+        let (plain, vars) = random_label_model(&mut rng);
+        let mut declared = plain.clone();
+        declared.declare_interchangeable_labels();
+        let context = format!("seed {SEED:#x} case {case}: {plain:?}");
+        let cold = |model: &Model| Solver::new().solve(model).expect("solve");
+        let (plain_cold, declared_cold) = (cold(&plain), cold(&declared));
+        assert_eq!(declared_cold.status, plain_cold.status, "{context}");
+        assert_eq!(declared_cold.solution, plain_cold.solution, "{context}");
+        assert!(
+            declared_cold.stats.nodes <= plain_cold.stats.nodes,
+            "{context}: {} nodes declared against {} plain",
+            declared_cold.stats.nodes,
+            plain_cold.stats.nodes
+        );
+        let hint = random_hint(&mut rng, &vars);
+        let context = format!("{context} under hint {:?}", hint.values());
+        for model in [&plain, &declared] {
+            assert_eq!(
+                status(model, Some(&hint), &context),
+                plain_cold.status,
+                "{context}"
+            );
+        }
+        feasible += usize::from(plain_cold.status == SolveStatus::Feasible);
+        pruned += usize::from(declared_cold.stats.nodes < plain_cold.stats.nodes);
+    }
+    println!("{CASES} cases: {feasible} feasible, {pruned} pruned by precedence");
+    assert!(
+        0 < feasible && feasible < CASES,
+        "seed {SEED:#x}: {feasible} of {CASES} cases feasible"
+    );
+    assert!(pruned > 0, "seed {SEED:#x}: precedence never pruned");
 }
 
 /// Every objective floor of a random model gets the same answer warm and

@@ -16,6 +16,13 @@
 //!   repaired, node/propagation/conflict counts, and (on a successful
 //!   `refine`) the exported solution the index remembers.
 //!
+//! A seeded solve decides what a cold one decides, because a hint orders
+//! the values the search tries and never the set. Its refinement is the
+//! first one in the hint's order, though, and that can be another
+//! partition than the first one a cold search meets; both meet the
+//! request's k and θ. So the refinement a miss returns depends on what the
+//! tenant solved before, and once cached it replays byte-identically.
+//!
 //! The index is owned by the single-threaded event loop, so it needs no
 //! lock; workers only ever *carry* hints and telemetry, never touch the
 //! index itself.

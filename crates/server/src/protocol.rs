@@ -182,10 +182,7 @@ impl EngineKind {
     /// engine's shared two-phase budget (it used to stop at the ILP config,
     /// so `serve --time-limit` silently ignored greedy-side work).
     pub fn build(self, time_limit: Option<Duration>) -> Box<dyn RefinementEngine> {
-        let ilp_config = IlpEngineConfig {
-            time_limit,
-            ..IlpEngineConfig::default()
-        };
+        let ilp_config = IlpEngineConfig { time_limit };
         match self {
             EngineKind::Hybrid => {
                 let hybrid = HybridEngine::with_engines(

@@ -2858,7 +2858,6 @@ fn solve_job_inner(
         let theta = request.theta.expect("validated at decode");
         let engine = IlpEngine::with_config(IlpEngineConfig {
             time_limit: request.time_limit,
-            ..IlpEngineConfig::default()
         });
         let (outcome, stats) = engine
             .refine_with_hint(&request.view, &request.spec, k, theta, hint.as_ref())

@@ -190,33 +190,19 @@ fn slow_log_promotes_past_sampling_and_tenants_filter() {
     );
 }
 
-/// A view the exact ILP engine cannot polish off quickly: many wide,
-/// heavily overlapping signatures and a near-unreachable θ leave branch &
-/// bound a deep tree to prune, so the solve reliably runs until its time
-/// budget instead of returning in microseconds.
-fn hard_view() -> SignatureView {
-    let properties: Vec<String> = (0..24).map(|i| format!("http://ex/p{i}")).collect();
-    let signatures: Vec<(Vec<usize>, usize)> = (0..72)
-        .map(|i| {
-            let width = 3 + (i % 7);
-            let start = (i * 5) % 12;
-            ((start..start + width).collect(), 10 + (i * 13) % 97)
-        })
-        .collect();
-    SignatureView::from_counts(properties, signatures).expect("valid synthetic view")
-}
-
 /// A refine the victim connection will not live to see answered. The time
-/// limit is a cap, not the expected runtime — it just guarantees the
-/// worker frees up promptly after the abort.
+/// limit is a cap that the search reaches undecided (the test asserts it in
+/// process), and it frees the worker promptly after the abort. At k = 8 and
+/// θ = 99/100 the search proves the view infeasible in a few nodes, too
+/// fast for the victim to die first.
 fn doomed_request() -> SolveRequest {
     SolveRequest {
         op: SolveOp::Refine,
-        view: hard_view(),
+        view: common::hard_view(),
         spec: SigmaSpec::Coverage,
         engine: EngineKind::Ilp,
-        k: Some(8),
-        theta: Some(Ratio::new(99, 100)),
+        k: Some(3),
+        theta: Some(Ratio::new(3, 4)),
         step: None,
         max_k: None,
         time_limit: Some(Duration::from_millis(600)),
@@ -231,6 +217,11 @@ fn doomed_request() -> SolveRequest {
 /// invisible to the histograms and the flight recorder alike).
 #[test]
 fn a_dying_connection_closes_its_spans_as_aborted() {
+    // The premise: the doomed solve is still in flight when the victim
+    // dies. A search that decides it within its cap flushes the answer
+    // before the RST, and no span can be aborted.
+    common::assert_stays_undecided(&doomed_request());
+
     common::for_each_backend("a_dying_connection_closes_its_spans_as_aborted", |kind| {
         // 0 ms slow threshold: every finished span reaches the recorder,
         // aborted ones included.

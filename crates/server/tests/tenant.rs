@@ -92,28 +92,20 @@ fn request_for(variant: usize, tenant: Option<&str>) -> SolveRequest {
     }
 }
 
-/// A view large enough that a hybrid highest-theta search takes visible
-/// time — wide enough a pool-share refusal can be provoked while the
-/// first solve is still in flight.
-fn slow_request(tenant: &str, step_denominator: i128) -> SolveRequest {
-    let properties: Vec<String> = (0..10).map(|i| format!("http://ex/p{i}")).collect();
-    let signatures: Vec<(Vec<usize>, usize)> = (0..24)
-        .map(|i| {
-            let width = 1 + (i % 5);
-            let start = i % 6;
-            ((start..start + width).collect(), 10 + (i * 7) % 90)
-        })
-        .collect();
+/// An exact refine of [`common::hard_view`] that runs to its 600 ms cap
+/// undecided in both build profiles, so a pool-share refusal can be
+/// provoked while it is still in flight. `theta` tells instances apart.
+fn slow_request(tenant: &str, theta: Ratio) -> SolveRequest {
     SolveRequest {
-        op: SolveOp::HighestTheta,
-        view: SignatureView::from_counts(properties, signatures).expect("valid synthetic view"),
+        op: SolveOp::Refine,
+        view: common::hard_view(),
         spec: SigmaSpec::Coverage,
-        engine: EngineKind::Greedy,
+        engine: EngineKind::Ilp,
         k: Some(3),
-        theta: None,
-        step: Some(Ratio::new(1, step_denominator)),
+        theta: Some(theta),
+        step: None,
         max_k: None,
-        time_limit: None,
+        time_limit: Some(Duration::from_millis(600)),
         routing: None,
         tenant: Some(tenant.to_owned()),
     }
@@ -387,6 +379,8 @@ fn weighted_reserves_protect_a_tenant_from_a_flooding_neighbor() {
 
 #[test]
 fn pool_share_refuses_a_second_lead_but_coalescing_joins_stay_free() {
+    let lead_theta = Ratio::new(3, 4);
+    common::assert_stays_undecided(&slow_request("cpu", lead_theta));
     let handle = server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -402,7 +396,7 @@ fn pool_share_refuses_a_second_lead_but_coalescing_joins_stay_free() {
     let lead = thread::spawn(move || {
         let mut client = Client::connect(&lead_addr).expect("connect lead");
         client
-            .solve(&slow_request("cpu", 400))
+            .solve(&slow_request("cpu", lead_theta))
             .expect("the leading solve completes")
     });
     let mut status = Client::connect(&addr).expect("connect status");
@@ -416,7 +410,7 @@ fn pool_share_refuses_a_second_lead_but_coalescing_joins_stay_free() {
     // slot: refused, with the structured detail.
     let mut second = Client::connect(&addr).expect("connect second");
     let err = second
-        .solve(&slow_request("cpu", 401))
+        .solve(&slow_request("cpu", Ratio::new(74, 100)))
         .expect_err("a second concurrent lead exceeds pool=1");
     let ClientError::OverQuota { detail, .. } = err else {
         panic!("expected the structured over_quota error, got: {err}");
@@ -427,7 +421,7 @@ fn pool_share_refuses_a_second_lead_but_coalescing_joins_stay_free() {
     // Joining the *in-flight* instance costs no slot: the same request
     // coalesces onto the leader and shares its answer.
     let join = second
-        .solve(&slow_request("cpu", 400))
+        .solve(&slow_request("cpu", lead_theta))
         .expect("a coalescing join is not pool-gated");
     let led = lead.join().expect("lead thread");
     assert_eq!(
