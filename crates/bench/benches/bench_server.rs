@@ -31,10 +31,13 @@
 //! element (read off the `wire` status counters). The tenant
 //! section floods a rate-limited tenant against an unlimited one and
 //! asserts admission control bounds the flood while the quiet tenant's
-//! cached path keeps most of its solo throughput. The observability
-//! section prices the tracing layer itself: the batched cached workload
-//! with tracing off vs 1/64 sampling, asserting the traced leg keeps
-//! ≥ 95% of the untraced throughput. Every other section runs its
+//! cached path keeps most of its solo throughput. The solver section
+//! solves a family of views under `--solver ilp` in two orders, checks
+//! every answer against its request, and asserts both orders get
+//! byte-identical answers, with the cold leg under a node ceiling. The
+//! observability section prices the tracing layer itself: the batched
+//! cached workload with tracing off vs 1/64 sampling, asserting the
+//! traced leg keeps ≥ 95% of the untraced throughput. Every other section runs its
 //! servers at 1/16 sampling and prints the per-stage p50/p99 table out
 //! of the `observe` status block, so each headline number comes with
 //! its lifecycle cost breakdown.
@@ -1161,49 +1164,27 @@ fn main() {
     steady.shutdown().expect("shutdown");
     handle.wait();
 
-    // ── Warm-started solver ─────────────────────────────────────────────
-    // The CP core's miss-path win: under `--solver ilp` the compute pool
-    // looks up the nearest previously-solved neighbor (signature-set
-    // distance, tenant-scoped) and seeds the CP search with its
-    // assignment. The workload is an incremental S±1 family — each
-    // variant adds one signature to a shared base view — solved twice:
+    // ── Solver ──────────────────────────────────────────────────────────
+    // The exact miss path under `--solver ilp`: variants 1–7 of a family
+    // that appends one signature to a shared base view, Cov at k = 3 and
+    // θ = 1/2, solved by two tenants in opposite orders. (Only variant 2's
+    // appended signature is new; the others equal a base signature, which
+    // `from_counts` merges, so those variants change only a count. The
+    // node ceiling was measured on this data, so it stays.)
     //
-    //   cold: every variant under its own tenant, so every hint bucket is
-    //         empty and every solve starts from scratch,
-    //   warm: every variant under one tenant primed with the base
-    //         instance, so every solve seeds from a neighbor.
+    // Asserted: every answer is a refinement that meets its own request,
+    // the cold leg (variants 1–7 in order) stays under the seed solver's
+    // node ceiling, and the reverse leg (variants 7–1) gets the cold leg's
+    // answers byte for byte. Every solve starts from scratch, so an answer
+    // depends on its request alone and not on what its tenant solved
+    // before.
     //
-    // Asserted: the warm leg clears 1.3× the cold leg's throughput, every
-    // warm answer is a refinement that meets its own request, a second
-    // tenant with the same history gets byte-identical answers, every warm
-    // solve actually seeded (status counters), the cold leg stays under
-    // the seed solver's node ceiling, and the warm leg's node sum is no
-    // larger than the cold leg's.
-    //
-    // Why the warm answers are checked against their requests and not
-    // against the cold leg: a hint orders the values the search tries and
-    // never the set it tries, so a seeded solve decides what a cold one
-    // decides, but it returns the first refinement in its hint's order
-    // where a cold one returns the first in input order. Those can be
-    // different partitions that both meet θ. Here the hint index seeds
-    // each variant from the tenant's most recent neighbor, so variant 7 is
-    // seeded from variant 6's answer, which still meets θ for variant 7
-    // (min σ 169/333), while its cold search meets another partition first
-    // (min σ 1/2). A seeded answer therefore depends on what the tenant
-    // solved before, and byte-identity is owed only between tenants with
-    // the same history.
-    //
-    // 7 variants: the node ceiling below was measured over variants 1–7,
-    // and the tier-1 pin named there covers the same seven.
+    // 7 variants: the node ceiling below was measured over variants 1–7.
     const SOLVER_VARIANTS: usize = 7;
-    // The seed solver explored 5369 nodes on the Coverage θ=1/2 bench
-    // family; the event-driven core's cold leg must come in under that
-    // ceiling. The last bar compares the legs' node sums only. Per
-    // variant, `s_pm_1_family_keeps_its_cold_and_warm_trees`
-    // (tests/tests/reproduction_smoke.rs) asserts that a seeded solve
-    // explores no more nodes than a cold one, and pins both sums.
+    // The seed solver explored 5369 nodes on this family; the event-driven
+    // core's cold leg must come in under that ceiling.
     const SOLVER_NODE_CEILING: i64 = 5369;
-    let solver_request = |variant: usize, tenant: Option<String>| -> SolveRequest {
+    let solver_request = |variant: usize, tenant: &str| -> SolveRequest {
         let properties: Vec<String> = (0..10).map(|i| format!("http://ex/p{i}")).collect();
         let mut signatures: Vec<(Vec<usize>, usize)> = (0..14)
             .map(|i| {
@@ -1212,12 +1193,9 @@ fn main() {
                 ((start..start + width).collect(), 10 + (i * 17) % 60)
             })
             .collect();
-        if variant > 0 {
-            // The S±1 step: one extra signature, distinct per variant.
-            let width = 2 + (variant % 3);
-            let start = (variant * 2) % 5;
-            signatures.push(((start..start + width).collect(), 7 + variant % 5));
-        }
+        let width = 2 + (variant % 3);
+        let start = (variant * 2) % 5;
+        signatures.push(((start..start + width).collect(), 7 + variant % 5));
         SolveRequest {
             op: SolveOp::Refine,
             view: SignatureView::from_counts(properties, signatures).expect("valid view"),
@@ -1229,12 +1207,12 @@ fn main() {
             max_k: None,
             time_limit: None,
             routing: None,
-            tenant,
+            tenant: Some(tenant.to_owned()),
         }
     };
     let handle = server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 1, // serialize solves: throughput deltas are pure search
+        workers: 1, // serialize solves: throughput is pure search
         cache_capacity: 4096,
         solver: Some(EngineKind::Ilp),
         trace_sample: Some(BENCH_TRACE_SAMPLE),
@@ -1252,135 +1230,65 @@ fn main() {
             .and_then(Json::as_int)
             .expect("solver.nodes counter")
     };
+    let solve_leg = |client: &mut Client, tenant: &str, order: &[usize]| -> Vec<String> {
+        let mut texts = vec![String::new(); SOLVER_VARIANTS];
+        for &variant in order {
+            let request = solver_request(variant, tenant);
+            let response = client.solve(&request).expect("solver leg");
+            assert_eq!(response.source(), Some(Source::Solved));
+            let text = response.result_text().expect("payload");
+            if let Err(err) = check_refinement(&request, text) {
+                panic!("variant {variant}'s answer for {tenant} does not meet its request: {err}");
+            }
+            texts[variant - 1] = text.to_owned();
+        }
+        texts
+    };
 
-    // Cold leg: tenant-per-variant keeps every hint bucket empty.
+    let order: Vec<usize> = (1..=SOLVER_VARIANTS).collect();
     let mut cold_texts = Vec::new();
     let solver_cold_rps = requests_per_second(SOLVER_VARIANTS, || {
-        for variant in 1..=SOLVER_VARIANTS {
-            let response = client
-                .solve(&solver_request(variant, Some(format!("cold{variant}"))))
-                .expect("cold solver leg");
-            assert_eq!(response.source(), Some(Source::Solved));
-            cold_texts.push(response.result_text().expect("payload").to_owned());
-        }
+        cold_texts = solve_leg(&mut client, "cold", &order);
     });
-
     let cold_leg_nodes = solver_nodes(&mut client);
-
-    // Warm leg: one tenant, primed with the base instance; each variant
-    // then seeds from its nearest solved neighbor.
-    let prime = client
-        .solve(&solver_request(0, None))
-        .expect("prime the hint index");
-    assert_eq!(prime.source(), Some(Source::Solved));
-    let nodes_after_prime = solver_nodes(&mut client);
-    let mut warm_texts = Vec::new();
-    let solver_warm_rps = requests_per_second(SOLVER_VARIANTS, || {
-        for variant in 1..=SOLVER_VARIANTS {
-            let response = client
-                .solve(&solver_request(variant, None))
-                .expect("warm solver leg");
-            assert_eq!(response.source(), Some(Source::Solved));
-            warm_texts.push(response.result_text().expect("payload").to_owned());
-        }
-    });
-    for (variant, (cold, warm)) in (1..=SOLVER_VARIANTS).zip(cold_texts.iter().zip(&warm_texts)) {
-        let request = solver_request(variant, None);
-        for (leg, text) in [("cold", cold), ("warm", warm)] {
-            if let Err(err) = check_refinement(&request, text) {
-                panic!("variant {variant}'s {leg} answer does not meet its request: {err}");
-            }
-        }
-    }
+    let reverse: Vec<usize> = order.iter().rev().copied().collect();
+    let reverse_texts = solve_leg(&mut client, "reverse", &reverse);
+    let reverse_leg_nodes = solver_nodes(&mut client) - cold_leg_nodes;
 
     let status = client.status().expect("status");
-    let solver = status
+    let cold_solves = status
         .result()
         .and_then(|result| result.get("solver"))
-        .cloned()
-        .expect("solver status block");
-    let counter = |field: &str| -> i64 { solver.get(field).and_then(Json::as_int).expect(field) };
-    let warm_solves = counter("warm_solves");
-    let cold_solves = counter("cold_solves");
-    let seed_hits = counter("seed_hits");
-    let repaired = counter("repaired_hints");
-    let nodes = counter("nodes");
-    let warm_leg_nodes = nodes - nodes_after_prime;
-    let solver_speedup = solver_warm_rps / solver_cold_rps.max(f64::MIN_POSITIVE);
-
-    println!("warm-started solver (--solver ilp, {SOLVER_VARIANTS} S±1 variants, 1 worker):");
-    println!("  cold (empty hint buckets): {solver_cold_rps:>8.1} req/s");
-    println!("  warm (neighbor-seeded):    {solver_warm_rps:>8.1} req/s");
-    println!("  speedup warm/cold:         {solver_speedup:>8.1}×");
+        .and_then(|solver| solver.get("cold_solves"))
+        .and_then(Json::as_int)
+        .expect("solver.cold_solves counter");
+    println!("solver (--solver ilp, {SOLVER_VARIANTS} variants, 1 worker):");
+    println!("  cold leg: {solver_cold_rps:>8.1} req/s");
     println!(
-        "  {cold_solves} cold / {warm_solves} warm solves, {seed_hits} seed hits, \
-         {repaired} hints repaired"
-    );
-    println!(
-        "  nodes: {cold_leg_nodes} cold leg / {warm_leg_nodes} warm leg \
-         (cold ceiling {SOLVER_NODE_CEILING})"
+        "  {cold_solves} solves, nodes: {cold_leg_nodes} cold leg / {reverse_leg_nodes} \
+         reverse leg (cold ceiling {SOLVER_NODE_CEILING})"
     );
     print_observe_stages(status.result().expect("status result"));
 
-    // The replay: a fresh tenant primed with the base and then sent the
-    // variants in the same order seeds every solve from the same
-    // neighbor, so its answers must be the warm leg's, byte for byte.
-    let replay = || Some("replay".to_owned());
-    let prime = client
-        .solve(&solver_request(0, replay()))
-        .expect("prime the replay tenant");
-    assert_eq!(prime.source(), Some(Source::Solved));
-    for (variant, warm) in (1..=SOLVER_VARIANTS).zip(&warm_texts) {
-        let response = client
-            .solve(&solver_request(variant, replay()))
-            .expect("replay leg");
-        assert_eq!(response.source(), Some(Source::Solved));
+    for (variant, (cold, reverse)) in (1..).zip(cold_texts.iter().zip(&reverse_texts)) {
         assert_eq!(
-            response.result_text(),
-            Some(warm.as_str()),
-            "variant {variant}'s seeded answer differs between two tenants \
-             with the same history"
+            cold, reverse,
+            "variant {variant}'s answer differs between two tenants that solved \
+             the variants in opposite orders"
         );
     }
-    assert_eq!(
-        warm_solves, SOLVER_VARIANTS as i64,
-        "every warm-leg solve must seed from a neighbor"
-    );
-    assert_eq!(
-        cold_solves,
-        SOLVER_VARIANTS as i64 + 1,
-        "the cold leg and the prime must all start from scratch"
-    );
-    assert_eq!(seed_hits, SOLVER_VARIANTS as i64);
-    assert!(
-        solver_speedup >= 1.3,
-        "neighbor-seeded solves must clear 1.3× cold throughput on the \
-         incremental workload, measured {solver_speedup:.2}×"
-    );
     assert!(
         cold_leg_nodes <= SOLVER_NODE_CEILING,
         "the event-driven core must stay under the seed solver's node \
          ceiling cold, explored {cold_leg_nodes} vs {SOLVER_NODE_CEILING}"
     );
-    // The legs' sums: the per-variant bar is the tier-1 pin named at
-    // SOLVER_NODE_CEILING.
-    assert!(
-        warm_leg_nodes <= cold_leg_nodes,
-        "the warm leg must explore no more nodes in sum than the cold \
-         leg, explored {warm_leg_nodes} vs {cold_leg_nodes}"
-    );
     emit_trajectory(
         "solver",
         vec![
             ("cold_rps", Json::Int(solver_cold_rps as i64)),
-            ("warm_rps", Json::Int(solver_warm_rps as i64)),
-            ("speedup_pct", Json::Int((solver_speedup * 100.0) as i64)),
             ("cold_solves", Json::Int(cold_solves)),
-            ("warm_solves", Json::Int(warm_solves)),
-            ("seed_hits", Json::Int(seed_hits)),
-            ("repaired_hints", Json::Int(repaired)),
             ("cold_leg_nodes", Json::Int(cold_leg_nodes)),
-            ("warm_leg_nodes", Json::Int(warm_leg_nodes)),
+            ("reverse_leg_nodes", Json::Int(reverse_leg_nodes)),
         ],
     );
 

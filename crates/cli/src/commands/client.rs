@@ -245,7 +245,7 @@ fn render_cluster_status(router: &mut Router, raw: bool) -> Result<String, CliEr
         return Ok(out);
     }
     let mut out = format!(
-        "{:<5} {:<21} {:<8} {:<7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>6} {:>8}\n",
+        "{:<5} {:<21} {:<8} {:<7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>6} {:>8}\n",
         "shard",
         "addr",
         "role",
@@ -254,7 +254,6 @@ fn render_cluster_status(router: &mut Router, raw: bool) -> Result<String, CliEr
         "hits",
         "misses",
         "hit_rate",
-        "warm",
         "entries",
         "wrong_shard",
         "lag",
@@ -285,7 +284,7 @@ fn render_cluster_status(router: &mut Router, raw: bool) -> Result<String, CliEr
         .find(|(name, _)| name == "total")
         .map_or_else(|| "-".to_owned(), |(_, merged)| merged.p99().to_string());
     out.push_str(&format!(
-        "{:<5} {:<21} {:<8} {:<7} {:>8} {:>8} {:>8} {total_rate:>8} {:>8} {:>8} {:>11} {:>6} {total_p99:>8}\n",
+        "{:<5} {:<21} {:<8} {:<7} {:>8} {:>8} {:>8} {total_rate:>8} {:>8} {:>11} {:>6} {total_p99:>8}\n",
         "total",
         "",
         "",
@@ -293,7 +292,6 @@ fn render_cluster_status(router: &mut Router, raw: bool) -> Result<String, CliEr
         totals.solves,
         totals.hits,
         totals.misses,
-        totals.warm,
         totals.entries,
         totals.wrong,
         "",
@@ -364,7 +362,6 @@ struct ClusterTotals {
     solves: i64,
     hits: i64,
     misses: i64,
-    warm: i64,
     entries: i64,
     wrong: i64,
     stages: Vec<(String, HistogramSnapshot)>,
@@ -415,7 +412,6 @@ fn shard_status_row(idx: usize, addr: &str, result: &Json, totals: &mut ClusterT
     let backend = status_path(result, &["poller", "backend"])
         .and_then(Json::as_str)
         .unwrap_or("-");
-    let warm = block_cell(result, "solver", &["solver", "warm_solves"]);
     let entries = int(&["cache", "entries"]);
     let wrong = block_cell(result, "shard", &["shard", "wrong_shard"]);
     let lag = block_cell(result, "replication", &["replication", "lag"]);
@@ -441,15 +437,12 @@ fn shard_status_row(idx: usize, addr: &str, result: &Json, totals: &mut ClusterT
     totals.hits += row_hits;
     totals.misses += row_misses;
     totals.entries += entries;
-    if result.get("solver").is_some() {
-        totals.warm += int(&["solver", "warm_solves"]);
-    }
     if result.get("shard").is_some() {
         totals.wrong += int(&["shard", "wrong_shard"]);
     }
     format!(
         "{idx:<5} {addr:<21} {role:<8} {backend:<7} {row_solves:>8} {row_hits:>8} \
-         {row_misses:>8} {hit_rate:>8} {warm:>8} {entries:>8} {wrong:>11} {lag:>6} {p99:>8}\n"
+         {row_misses:>8} {hit_rate:>8} {entries:>8} {wrong:>11} {lag:>6} {p99:>8}\n"
     )
 }
 
@@ -750,16 +743,9 @@ fn render_status(result: &Json) -> String {
     }
     if let Some(solver) = result.get("solver") {
         let mode = solver.get("mode").and_then(Json::as_str).unwrap_or("?");
-        let seed_rate = solver
-            .get("seed_hit_rate")
-            .and_then(Json::as_str)
-            .unwrap_or("0.0000");
         out.push_str(&format!(
-            "solver: {mode} mode, {} cold / {} warm solves (seed rate {seed_rate}), \
-             {} hints repaired, {} nodes ({} propagations, {} conflicts)\n",
+            "solver: {mode} mode, {} solves, {} nodes ({} propagations, {} conflicts)\n",
             int(&["solver", "cold_solves"]),
-            int(&["solver", "warm_solves"]),
-            int(&["solver", "repaired_hints"]),
             int(&["solver", "nodes"]),
             int(&["solver", "propagations"]),
             int(&["solver", "conflicts"]),
@@ -1077,7 +1063,6 @@ mod tests {
         let status = run(&args(&["status", "--cluster", &cluster])).unwrap();
         assert!(status.contains("shard"), "status: {status}");
         assert!(status.contains("hit_rate"), "status: {status}");
-        assert!(status.contains("warm"), "status: {status}");
         assert!(status.contains("total"), "status: {status}");
         // Three shard rows plus the header and the totals row.
         assert_eq!(status.lines().count(), 5, "status: {status}");
@@ -1231,8 +1216,8 @@ mod tests {
 
     #[test]
     fn cluster_rows_render_missing_status_blocks_as_dashes() {
-        // A shard speaking an older status dialect: no poller, solver,
-        // shard, replication, or observe blocks at all.
+        // A shard speaking an older status dialect: no poller, shard,
+        // replication, or observe blocks at all.
         let old = strudel_server::json::parse(
             "{\"requests\":{\"refine\":3},\
               \"cache\":{\"hits\":1,\"misses\":2,\"entries\":2,\"hit_rate\":\"0.3333\"}}",
@@ -1252,7 +1237,6 @@ mod tests {
                 "1",
                 "2",
                 "0.3333",
-                "-",
                 "2",
                 "-",
                 "-",
@@ -1260,7 +1244,6 @@ mod tests {
             ],
             "missing blocks must render as '-', not silent zeros: {row}"
         );
-        assert_eq!(totals.warm, 0);
         assert_eq!(totals.wrong, 0);
 
         // A current shard fills every cell and sums into the totals.
@@ -1278,7 +1261,6 @@ mod tests {
                     ("hit_rate", Json::str("0.5000")),
                 ]),
             ),
-            ("solver", Json::obj(vec![("warm_solves", Json::Int(5))])),
             ("shard", Json::obj(vec![("wrong_shard", Json::Int(1))])),
             ("poller", Json::obj(vec![("backend", Json::str("epoll"))])),
             (
@@ -1295,7 +1277,6 @@ mod tests {
         ]);
         let row = shard_status_row(1, "127.0.0.1:2", &new, &mut totals);
         assert!(!row.contains('-'), "every reported cell is concrete: {row}");
-        assert_eq!(totals.warm, 5);
         assert_eq!(totals.wrong, 1);
         let (name, merged) = totals.stages.first().expect("merged total stage");
         assert_eq!(name, "total");

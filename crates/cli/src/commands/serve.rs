@@ -73,12 +73,11 @@ pub const USAGE: &str = "strudel serve [--addr HOST:PORT] [--workers N] [--cache
   --solver request|ilp|greedy picks the engine every solve runs: request
   (the default) runs the engine each request names; ilp or greedy
   replaces it before the cache key is taken, so the cache, the segment
-  and the trace name the engine that ran. ilp also warm-starts each
-  refine from the nearest solved neighbor's solution; a seeded refine
-  decides what a cold one does but may return another refinement that
-  meets the same k and theta. The status
-  payload's 'solver' block reports cold/warm solve counts, the seed
-  hit-rate, repaired hints, nodes, propagations and conflicts.
+  and the trace name the engine that ran. Every solve starts from
+  scratch, so an answer depends on its request alone. The status
+  payload's 'solver' block reports the solves run and the nodes,
+  propagations and conflicts of their searches, every highest-theta and
+  lowest-k probe and the hybrid engine's ILP phase included.
   --trace-sample N records every Nth solve request as a lifecycle span
   (per-stage micros: decode, admission, cache, solve, flush) in a
   fixed-size in-memory flight recorder dumped by 'strudel client trace'
@@ -210,12 +209,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         status.flight.leaders, status.flight.shared,
     ));
     out.push_str(&format!(
-        "solver: {} mode, {} cold / {} warm solves, {} hints repaired, {} nodes\n",
-        status.solver.mode,
-        status.solver.cold_solves,
-        status.solver.warm_solves,
-        status.solver.repaired_hints,
-        status.solver.nodes,
+        "solver: {} mode, {} solves, {} nodes\n",
+        status.solver.mode, status.solver.cold_solves, status.solver.nodes,
     ));
     if let Some(persist) = &status.persist {
         out.push_str(&format!(

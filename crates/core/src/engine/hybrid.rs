@@ -17,7 +17,7 @@ use strudel_rules::prelude::Ratio;
 use crate::error::RefineError;
 use crate::sigma::SigmaSpec;
 
-use super::{GreedyConfig, GreedyEngine, IlpEngine, RefineOutcome, RefinementEngine};
+use super::{GreedyConfig, GreedyEngine, IlpEngine, RefineOutcome, RefinementEngine, SolveStats};
 
 /// Greedy-then-ILP engine.
 #[derive(Clone, Debug, Default)]
@@ -65,13 +65,27 @@ impl RefinementEngine for HybridEngine {
         k: usize,
         theta: Ratio,
     ) -> Result<RefineOutcome, RefineError> {
+        self.refine_with_stats(view, spec, k, theta)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// Reports the ILP phase's search; a greedy answer ran none.
+    fn refine_with_stats(
+        &self,
+        view: &SignatureView,
+        spec: &SigmaSpec,
+        k: usize,
+        theta: Ratio,
+    ) -> Result<(RefineOutcome, SolveStats), RefineError> {
         let Some(budget) = self.time_limit else {
             return match self.greedy.refine(view, spec, k, theta)? {
-                RefineOutcome::Refinement(refinement) => Ok(RefineOutcome::Refinement(refinement)),
+                RefineOutcome::Refinement(refinement) => {
+                    Ok((RefineOutcome::Refinement(refinement), SolveStats::default()))
+                }
                 // The greedy engine answers Unknown when it cannot reach the
                 // threshold and never answers Infeasible; either way the
                 // exact engine decides.
-                _ => self.ilp.refine(view, spec, k, theta),
+                _ => self.ilp.refine_with_stats(view, spec, k, theta),
             };
         };
 
@@ -81,13 +95,15 @@ impl RefinementEngine for HybridEngine {
             ..self.greedy.config().clone()
         });
         match greedy.refine(view, spec, k, theta)? {
-            RefineOutcome::Refinement(refinement) => Ok(RefineOutcome::Refinement(refinement)),
+            RefineOutcome::Refinement(refinement) => {
+                Ok((RefineOutcome::Refinement(refinement), SolveStats::default()))
+            }
             _ => {
                 let remaining = budget.saturating_sub(start.elapsed());
                 if remaining.is_zero() {
-                    return Ok(RefineOutcome::Unknown);
+                    return Ok((RefineOutcome::Unknown, SolveStats::default()));
                 }
-                IlpEngine::with_time_limit(remaining).refine(view, spec, k, theta)
+                IlpEngine::with_time_limit(remaining).refine_with_stats(view, spec, k, theta)
             }
         }
     }

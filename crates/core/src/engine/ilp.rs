@@ -4,24 +4,14 @@ use std::time::Duration;
 
 use strudel_ilp::prelude::{presolve, SolveStats, SolveStatus, Solver, SolverConfig, WarmStart};
 use strudel_rdf::signature::SignatureView;
-use strudel_rules::eval::RoughCountTable;
 use strudel_rules::prelude::Ratio;
 
-use crate::encode::{encode_with_table, Encoding, EncodingConfig};
+use crate::encode::{encode, Encoding};
 use crate::error::RefineError;
 use crate::refinement::SortRefinement;
 use crate::sigma::SigmaSpec;
 
 use super::{RefineOutcome, RefinementEngine};
-
-/// Configuration of the ILP engine.
-#[derive(Clone, Debug, Default)]
-pub struct IlpEngineConfig {
-    /// Wall-clock limit per decision-problem instance. `None` = unlimited,
-    /// mirroring the paper's observation that proving infeasibility can take
-    /// orders of magnitude longer than finding a solution.
-    pub time_limit: Option<Duration>,
-}
 
 /// A warm-start hint at the refinement level: which sort each signature was
 /// assigned to in a *neighboring* solution, keyed by signature identity (a
@@ -76,45 +66,29 @@ pub fn hint_from_refinement(view: &SignatureView, refinement: &SortRefinement) -
 /// The engine that encodes the instance as an ILP and solves it exactly.
 #[derive(Clone, Debug, Default)]
 pub struct IlpEngine {
-    config: IlpEngineConfig,
+    /// Wall-clock limit per decision-problem instance. `None` = unlimited,
+    /// mirroring the paper's observation that proving infeasibility can take
+    /// orders of magnitude longer than finding a solution.
+    time_limit: Option<Duration>,
 }
 
 impl IlpEngine {
-    /// Creates an engine with default configuration.
+    /// Creates an engine with no time limit.
     pub fn new() -> Self {
         IlpEngine::default()
     }
 
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(config: IlpEngineConfig) -> Self {
-        IlpEngine { config }
-    }
-
     /// Creates an engine with a per-instance time limit.
     pub fn with_time_limit(limit: Duration) -> Self {
-        IlpEngine::with_config(IlpEngineConfig {
+        IlpEngine {
             time_limit: Some(limit),
-        })
+        }
     }
 
-    /// Solves one instance reusing a precomputed rough-count table (the table
-    /// depends only on the rule and the dataset, so θ- and k-sweeps avoid
-    /// recomputing it).
-    pub fn refine_with_table(
-        &self,
-        view: &SignatureView,
-        spec: &SigmaSpec,
-        table: RoughCountTable,
-        k: usize,
-        theta: Ratio,
-    ) -> Result<RefineOutcome, RefineError> {
-        self.refine_with_table_and_hint(view, spec, table, k, theta, None)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// Solves one instance warm-started from a neighboring solution,
-    /// returning the solver statistics alongside the outcome so callers can
-    /// report warm-start effectiveness (nodes, conflicts, repaired hints).
+    /// Solves one instance, optionally warm-started from a neighboring
+    /// solution, and returns the solver statistics alongside the outcome:
+    /// encode, presolve, translate the refinement-level hint into solver
+    /// variable values, and search.
     pub fn refine_with_hint(
         &self,
         view: &SignatureView,
@@ -123,30 +97,11 @@ impl IlpEngine {
         theta: Ratio,
         hint: Option<&RefinementHint>,
     ) -> Result<(RefineOutcome, SolveStats), RefineError> {
-        crate::encode::validate_inputs(view, theta, k)?;
-        let rule = spec.rule();
-        let table = strudel_rules::eval::Evaluator::new(view)
-            .rough_counts(&rule)
-            .map_err(RefineError::from)?;
-        self.refine_with_table_and_hint(view, spec, table, k, theta, hint)
-    }
-
-    /// The full solve path: encode, presolve, translate the refinement-level
-    /// hint into solver variable values, and solve.
-    pub fn refine_with_table_and_hint(
-        &self,
-        view: &SignatureView,
-        spec: &SigmaSpec,
-        table: RoughCountTable,
-        k: usize,
-        theta: Ratio,
-        hint: Option<&RefinementHint>,
-    ) -> Result<(RefineOutcome, SolveStats), RefineError> {
-        let mut encoding = encode_with_table(view, table, k, theta, &EncodingConfig)?;
+        let mut encoding = encode(view, &spec.rule(), k, theta)?;
         presolve(&mut encoding.model);
         let warm = hint.and_then(|hint| warm_start_for(&encoding, view, hint));
         let solver = Solver::with_config(SolverConfig {
-            time_limit: self.config.time_limit,
+            time_limit: self.time_limit,
         });
         let result = solver
             .solve_with_hint(&encoding.model, warm.as_ref())
@@ -213,12 +168,18 @@ impl RefinementEngine for IlpEngine {
         k: usize,
         theta: Ratio,
     ) -> Result<RefineOutcome, RefineError> {
-        crate::encode::validate_inputs(view, theta, k)?;
-        let rule = spec.rule();
-        let table = strudel_rules::eval::Evaluator::new(view)
-            .rough_counts(&rule)
-            .map_err(RefineError::from)?;
-        self.refine_with_table(view, spec, table, k, theta)
+        self.refine_with_stats(view, spec, k, theta)
+            .map(|(outcome, _)| outcome)
+    }
+
+    fn refine_with_stats(
+        &self,
+        view: &SignatureView,
+        spec: &SigmaSpec,
+        k: usize,
+        theta: Ratio,
+    ) -> Result<(RefineOutcome, SolveStats), RefineError> {
+        self.refine_with_hint(view, spec, k, theta, None)
     }
 }
 

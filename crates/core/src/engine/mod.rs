@@ -1,8 +1,9 @@
 //! Refinement engines: different ways to answer `ExistsSortRefinement`.
 //!
 //! * [`IlpEngine`] — the paper's approach: encode the instance as an ILP
-//!   (Section 6) and hand it to the `strudel-ilp` branch & bound solver.
-//!   Exact; the engine used by all experiments.
+//!   (Section 6) and hand it to the `strudel-ilp` CP search, which branches
+//!   and propagates until it meets a feasible assignment or refutes them
+//!   all. Exact; the engine used by all experiments.
 //! * [`ExhaustiveEngine`] — enumerates every signature→sort assignment (up to
 //!   sort renaming). Exponential; exists as the ground-truth oracle the other
 //!   engines are tested against on small instances.
@@ -18,9 +19,7 @@ mod ilp;
 pub use exhaustive::{ExhaustiveConfig, ExhaustiveEngine};
 pub use greedy::{GreedyConfig, GreedyEngine};
 pub use hybrid::HybridEngine;
-pub use ilp::{
-    hint_from_refinement, signature_identity, IlpEngine, IlpEngineConfig, RefinementHint,
-};
+pub use ilp::{hint_from_refinement, signature_identity, IlpEngine, RefinementHint};
 // Re-exported so downstream crates (the server reads solve statistics)
 // need no direct `strudel-ilp` dependency.
 pub use strudel_ilp::prelude::SolveStats;
@@ -73,6 +72,20 @@ pub trait RefinementEngine {
         k: usize,
         theta: Ratio,
     ) -> Result<RefineOutcome, RefineError>;
+
+    /// [`refine`](Self::refine), plus the statistics of the exact search it
+    /// ran: nodes, propagations and conflicts, all zero when no exact
+    /// search ran. Engines that run one override this; the default reports
+    /// none.
+    fn refine_with_stats(
+        &self,
+        view: &SignatureView,
+        spec: &SigmaSpec,
+        k: usize,
+        theta: Ratio,
+    ) -> Result<(RefineOutcome, SolveStats), RefineError> {
+        Ok((self.refine(view, spec, k, theta)?, SolveStats::default()))
+    }
 }
 
 #[cfg(test)]

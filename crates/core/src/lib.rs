@@ -22,7 +22,7 @@
 //!
 //! The decision problem is NP-complete ([`reduction`] reproduces the
 //! 3-colorability reduction); the production solving path encodes instances
-//! as ILPs ([`encode`]) solved by the pure-Rust `strudel-ilp` branch & bound
+//! as ILPs ([`encode`]) solved by the pure-Rust `strudel-ilp` CP search
 //! ([`engine::IlpEngine`]), with an exhaustive oracle and a greedy baseline
 //! alongside.
 //!
@@ -75,8 +75,7 @@ pub mod prelude {
     pub use crate::dependency::{dependency_matrix, sym_dependency_ranking, SymDepEntry};
     pub use crate::encode::{encode, Encoding, EncodingConfig};
     pub use crate::engine::{
-        ExhaustiveEngine, GreedyEngine, HybridEngine, IlpEngine, IlpEngineConfig, RefineOutcome,
-        RefinementEngine,
+        ExhaustiveEngine, GreedyEngine, HybridEngine, IlpEngine, RefineOutcome, RefinementEngine,
     };
     pub use crate::error::{AnnotateError, RefineError, ValidationError};
     pub use crate::metrics::{HistogramSnapshot, LatencyHistogram, StageTimer};

@@ -9,7 +9,9 @@
 //!   non-blocking socket with read/write buffers and ordered response
 //!   slots, so thousands of idle clients cost no threads; a fixed-size
 //!   **compute pool** ([`pool`]) bounds how many CPU-heavy ILP/greedy
-//!   solves run concurrently and wakes the loop per completion,
+//!   solves run concurrently and wakes the loop per completion. Every
+//!   solve runs the request's engine from scratch, so an answer depends on
+//!   its request alone, never on what the process solved before,
 //! * a **batched wire protocol** ([`protocol`]) — one line can carry an
 //!   array of requests; responses preserve order, elements fail
 //!   independently, and cache lookups run per-element so mixed hit/miss
@@ -122,7 +124,6 @@
 pub mod cache;
 pub mod client;
 pub mod flight;
-pub mod hints;
 pub mod json;
 pub mod poller;
 pub mod pool;
@@ -140,7 +141,6 @@ pub mod prelude {
     };
     pub use crate::client::{Client, ClientError, ClientOptions, FramingMode, Response};
     pub use crate::flight::{BoardJoin, FlightBoard, FlightStats};
-    pub use crate::hints::{HintIndex, SolveTelemetry, SolvedHint};
     pub use crate::json::Json;
     pub use crate::poller::{Event, Interest, Poller, PollerKind, PollerStats, Waker};
     pub use crate::pool::WorkerPool;

@@ -54,9 +54,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use strudel_core::engine::{
-    GreedyConfig, GreedyEngine, HybridEngine, IlpEngine, IlpEngineConfig, RefinementEngine,
-};
+use strudel_core::engine::{GreedyConfig, GreedyEngine, HybridEngine, IlpEngine, RefinementEngine};
 use strudel_core::sigma::{parse_spec, SigmaSpec};
 use strudel_core::wire::{
     read_varint, write_varint, WireEnvelope, WireHighestTheta, WireLowestK, WireOutcome,
@@ -147,7 +145,7 @@ impl SolveOp {
 pub enum EngineKind {
     /// Greedy first, ILP to confirm infeasibility (the default).
     Hybrid,
-    /// The paper's ILP encoding and branch & bound, exact.
+    /// The paper's ILP encoding and the CP search, exact.
     Ilp,
     /// The greedy baseline only; cannot prove infeasibility.
     Greedy,
@@ -177,24 +175,19 @@ impl EngineKind {
 
     /// Builds a fresh engine instance. Engines are cheap stateless structs;
     /// the server constructs one per job inside the worker thread. The time
-    /// limit reaches *every* family: the ILP engine's branch & bound budget,
-    /// the greedy engine's construction/improvement deadline, and the hybrid
-    /// engine's shared two-phase budget (it used to stop at the ILP config,
-    /// so `serve --time-limit` silently ignored greedy-side work).
+    /// limit reaches *every* family: the CP search's budget, the greedy
+    /// engine's construction/improvement deadline, and the hybrid engine's
+    /// budget shared by its two phases.
     pub fn build(self, time_limit: Option<Duration>) -> Box<dyn RefinementEngine> {
-        let ilp_config = IlpEngineConfig { time_limit };
         match self {
-            EngineKind::Hybrid => {
-                let hybrid = HybridEngine::with_engines(
-                    GreedyEngine::new(),
-                    IlpEngine::with_config(ilp_config),
-                );
-                match time_limit {
-                    Some(limit) => Box::new(hybrid.with_time_limit(limit)),
-                    None => Box::new(hybrid),
-                }
-            }
-            EngineKind::Ilp => Box::new(IlpEngine::with_config(ilp_config)),
+            EngineKind::Hybrid => match time_limit {
+                Some(limit) => Box::new(HybridEngine::new().with_time_limit(limit)),
+                None => Box::new(HybridEngine::new()),
+            },
+            EngineKind::Ilp => Box::new(match time_limit {
+                Some(limit) => IlpEngine::with_time_limit(limit),
+                None => IlpEngine::new(),
+            }),
             EngineKind::Greedy => {
                 let config = GreedyConfig {
                     time_limit,

@@ -52,6 +52,7 @@
 //! request — concurrent (single-flight), subsequent (cache), or in a later
 //! process (segment replay) — receives those same bytes.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -61,11 +62,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use strudel_core::engine::{hint_from_refinement, IlpEngine, IlpEngineConfig, RefinementHint};
+use strudel_core::engine::{RefineOutcome, RefinementEngine, SolveStats};
+use strudel_core::error::RefineError;
 use strudel_core::prelude::{highest_theta, lowest_k, HighestThetaOptions, SweepDirection};
+use strudel_core::sigma::SigmaSpec;
 use strudel_core::wire::{WireHighestTheta, WireLowestK, WireOutcome};
-
-use crate::hints::{view_identities, HintIndex, SolveTelemetry, SolvedHint};
+use strudel_rdf::signature::SignatureView;
+use strudel_rules::prelude::Ratio;
 
 use crate::cache::{
     CacheStats, FsyncPolicy, LruCache, OwnerCacheStats, PersistStats, SegmentStore,
@@ -132,11 +135,9 @@ pub struct ServerConfig {
     pub tenants: Option<TenantSpecSet>,
     /// The engine every solve runs (`serve --solver ilp|greedy`). It
     /// overrides the request's `engine` field before the cache key is
-    /// taken, so the key, the segment record, the hint bucket and the span
-    /// all name the engine that ran. `None` (`--solver request`, the
-    /// default) runs the engine each request names. `Some(Ilp)` also
-    /// warm-starts `refine` solves from the nearest solved neighbor (see
-    /// [`crate::hints`]).
+    /// taken, so the key, the segment record and the span all name the
+    /// engine that ran. `None` (`--solver request`, the default) runs the
+    /// engine each request names.
     pub solver: Option<EngineKind>,
     /// Trace-sampling divisor (`serve --trace-sample N`): every Nth solve
     /// request is recorded as a flight-recorder span; 0 disables sampling.
@@ -243,8 +244,8 @@ struct Completion {
     outcome: Result<String, String>,
     /// The engine that ran, as the cache key names it.
     engine: EngineKind,
-    /// Solver-core counters and the exported solution for the hint index.
-    telemetry: SolveTelemetry,
+    /// The search the solve ran, summed over every instance it decided.
+    stats: SolveStats,
 }
 
 /// Per-operation request counters and gauges.
@@ -282,17 +283,9 @@ struct Metrics {
     bin_negotiated: AtomicU64,
     /// Gauge: open connections currently speaking `bin1`.
     bin_connections: AtomicU64,
-    /// Pool solves dispatched without a warm-start seed.
+    /// Pool solves finished; every solve starts from scratch.
     solver_cold: AtomicU64,
-    /// Pool solves seeded from a cached neighbor's solution.
-    solver_warm: AtomicU64,
-    /// Warm solves whose hint was stale and repaired by propagation.
-    solver_repaired: AtomicU64,
-    /// Neighbor-index consultations on the miss path.
-    solver_seed_lookups: AtomicU64,
-    /// Consultations that found a close-enough neighbor.
-    solver_seed_hits: AtomicU64,
-    /// Branch-and-bound nodes explored across all solves.
+    /// CP search nodes explored across all solves.
     solver_nodes: AtomicU64,
     /// Constraint propagations across all solves.
     solver_propagations: AtomicU64,
@@ -350,25 +343,19 @@ pub struct WireStats {
     pub connections_json: u64,
 }
 
-/// Solver-core block of the `status` payload: how the miss path computed
-/// and how often warm starts landed.
+/// Solver-core block of the `status` payload: how many solves the miss
+/// path ran and what their searches cost. Every instance a solve decides
+/// counts: the hybrid engine's ILP phase and every highest-θ and lowest-k
+/// probe.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// The `--solver` setting: `request` when each request's `engine`
     /// field runs, else the name of the engine that overrides it (`ilp`,
     /// `greedy`).
     pub mode: &'static str,
-    /// Solves dispatched without a warm-start seed.
+    /// Solves the pool ran; every solve starts from scratch.
     pub cold_solves: u64,
-    /// Solves seeded from a cached neighbor's solution.
-    pub warm_solves: u64,
-    /// Warm solves whose stale hint was repaired on the way to a solution.
-    pub repaired_hints: u64,
-    /// Neighbor-index consultations on the miss path.
-    pub seed_lookups: u64,
-    /// Consultations that produced a usable seed.
-    pub seed_hits: u64,
-    /// Branch-and-bound nodes explored across all solves.
+    /// CP search nodes explored across all solves.
     pub nodes: u64,
     /// Constraint propagations across all solves.
     pub propagations: u64,
@@ -427,7 +414,7 @@ pub struct StatusSnapshot {
     pub tenant_cache: Vec<OwnerCacheStats>,
     /// Wire-level traffic counters and the per-connection framing roll-up.
     pub wire: WireStats,
-    /// Solver-core counters: warm starts, repairs, nodes.
+    /// Solver-core counters: solves, nodes, propagations, conflicts.
     pub solver: SolverStats,
     /// `trace` requests served.
     pub traces: u64,
@@ -532,33 +519,13 @@ impl StatusSnapshot {
             ("registered", Json::Int(self.poller.registered as i64)),
             ("syscalls", Json::Int(self.poller.syscalls as i64)),
         ]);
-        let solver = {
-            // Same fixed-point convention as the cache hit rate: the wire
-            // JSON is integer-only, so the derived rate is a string.
-            let seed_hit_rate = if self.solver.seed_lookups == 0 {
-                "0.0000".to_owned()
-            } else {
-                format!(
-                    "{:.4}",
-                    self.solver.seed_hits as f64 / self.solver.seed_lookups as f64
-                )
-            };
-            Json::obj(vec![
-                ("mode", Json::str(self.solver.mode)),
-                ("cold_solves", Json::Int(self.solver.cold_solves as i64)),
-                ("warm_solves", Json::Int(self.solver.warm_solves as i64)),
-                ("seed_lookups", Json::Int(self.solver.seed_lookups as i64)),
-                ("seed_hits", Json::Int(self.solver.seed_hits as i64)),
-                ("seed_hit_rate", Json::str(seed_hit_rate)),
-                (
-                    "repaired_hints",
-                    Json::Int(self.solver.repaired_hints as i64),
-                ),
-                ("nodes", Json::Int(self.solver.nodes as i64)),
-                ("propagations", Json::Int(self.solver.propagations as i64)),
-                ("conflicts", Json::Int(self.solver.conflicts as i64)),
-            ])
-        };
+        let solver = Json::obj(vec![
+            ("mode", Json::str(self.solver.mode)),
+            ("cold_solves", Json::Int(self.solver.cold_solves as i64)),
+            ("nodes", Json::Int(self.solver.nodes as i64)),
+            ("propagations", Json::Int(self.solver.propagations as i64)),
+            ("conflicts", Json::Int(self.solver.conflicts as i64)),
+        ]);
         let wire = Json::obj(vec![
             ("frames_in", Json::Int(self.wire.frames_in as i64)),
             ("frames_out", Json::Int(self.wire.frames_out as i64)),
@@ -947,10 +914,6 @@ fn snapshot(shared: &Shared) -> StatusSnapshot {
         solver: SolverStats {
             mode: shared.solver.map_or("request", EngineKind::name),
             cold_solves: metrics.solver_cold.load(Ordering::Relaxed),
-            warm_solves: metrics.solver_warm.load(Ordering::Relaxed),
-            repaired_hints: metrics.solver_repaired.load(Ordering::Relaxed),
-            seed_lookups: metrics.solver_seed_lookups.load(Ordering::Relaxed),
-            seed_hits: metrics.solver_seed_hits.load(Ordering::Relaxed),
             nodes: metrics.solver_nodes.load(Ordering::Relaxed),
             propagations: metrics.solver_propagations.load(Ordering::Relaxed),
             conflicts: metrics.solver_conflicts.load(Ordering::Relaxed),
@@ -1391,10 +1354,6 @@ struct EventLoop {
     /// re-evaluation, so a round's cost tracks the work it did, not the
     /// number of open connections.
     touched: Vec<u64>,
-    /// Recently solved `refine` instances, consulted on the miss path for
-    /// warm-start neighbors (see [`crate::hints`]). Owned by the loop
-    /// thread, so no lock: workers only carry hints, never the index.
-    hints: HintIndex,
     /// Micros the current request line/frame took to decode, stamped right
     /// after the decode call and read by `handle_request` when it opens a
     /// span (elements of one batch share the line's decode cost). Always 0
@@ -1421,7 +1380,6 @@ impl EventLoop {
             poller,
             events: Vec::new(),
             touched: Vec::new(),
-            hints: HintIndex::new(),
             pending_decode_us: 0,
         }
     }
@@ -2209,8 +2167,8 @@ impl EventLoop {
                         .begin(conn, solve.op.name(), self.pending_decode_us);
                 // `--solver ilp|greedy` picks the engine for every request.
                 // It replaces the request's choice before the key is taken,
-                // so the cache, the segment, the hint bucket and the span
-                // all name the engine that runs.
+                // so the cache, the segment and the span all name the
+                // engine that runs.
                 if let Some(engine) = self.shared.solver {
                     solve.engine = engine;
                 }
@@ -2374,25 +2332,6 @@ impl EventLoop {
                         metrics.flight_leaders.fetch_add(1, Ordering::Relaxed);
                         self.shared.tenants.begin_solve(&tenant);
                         self.pending_jobs += 1;
-                        // Warm-start lookup: under `--solver ilp`, a
-                        // `refine` miss first asks the neighbor index for
-                        // the nearest solved instance of the same question
-                        // (params string, tenant included) over an
-                        // almost-identical signature set. The hint travels
-                        // into the worker; the index stays here.
-                        let warm_starts = solve.op == SolveOp::Refine
-                            && self.shared.solver == Some(EngineKind::Ilp);
-                        let hint = if warm_starts {
-                            metrics.solver_seed_lookups.fetch_add(1, Ordering::Relaxed);
-                            let identities = view_identities(&solve.view);
-                            let hint = self.hints.lookup(&key.params, &identities);
-                            if hint.is_some() {
-                                metrics.solver_seed_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            hint
-                        } else {
-                            None
-                        };
                         // Capture only the completion queue and the
                         // poller's waker (see the field doc on
                         // `Shared::completions`), never `Shared`.
@@ -2401,14 +2340,14 @@ impl EventLoop {
                         self.shared.pool.submit(move || {
                             // A panicking solve must complete its flight
                             // regardless — followers are parked on it.
-                            let (outcome, telemetry) =
+                            let (outcome, stats) =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    solve_job(&solve, warm_starts, hint)
+                                    solve_job(&solve)
                                 }))
                                 .unwrap_or_else(|_| {
                                     (
                                         Err("solve panicked in the worker".to_owned()),
-                                        SolveTelemetry::default(),
+                                        SolveStats::default(),
                                     )
                                 });
                             completions
@@ -2419,7 +2358,7 @@ impl EventLoop {
                                     tenant,
                                     engine: solve.engine,
                                     outcome,
-                                    telemetry,
+                                    stats,
                                 });
                             waker.wake();
                         });
@@ -2446,7 +2385,7 @@ impl EventLoop {
             self.pending_jobs -= 1;
             self.shared.tenants.end_solve(&completion.tenant);
             let tokens = self.board.complete(&completion.key);
-            self.account_solver(&completion);
+            self.account_solver(&completion.stats);
             match completion.outcome {
                 Ok(text) => {
                     let text = Arc::new(text);
@@ -2477,7 +2416,7 @@ impl EventLoop {
                         }
                     }
                     let engine = completion.engine.name();
-                    let nodes = completion.telemetry.nodes;
+                    let nodes = completion.stats.nodes;
                     for (rank, mut waiter) in tokens.into_iter().enumerate() {
                         let source = if rank == 0 {
                             Source::Solved
@@ -2516,35 +2455,19 @@ impl EventLoop {
         true
     }
 
-    /// Rolls one completion's solver telemetry into the metrics and, on a
-    /// successful `refine`, remembers the solution in the neighbor index
-    /// so the *next* close-by instance starts warm.
-    fn account_solver(&mut self, completion: &Completion) {
+    /// Rolls one completion's search statistics into the metrics.
+    fn account_solver(&self, stats: &SolveStats) {
         let metrics = &self.shared.metrics;
-        let telemetry = &completion.telemetry;
-        if telemetry.warm {
-            metrics.solver_warm.fetch_add(1, Ordering::Relaxed);
-        } else {
-            metrics.solver_cold.fetch_add(1, Ordering::Relaxed);
-        }
-        if telemetry.repaired {
-            metrics.solver_repaired.fetch_add(1, Ordering::Relaxed);
-        }
+        metrics.solver_cold.fetch_add(1, Ordering::Relaxed);
         metrics
             .solver_nodes
-            .fetch_add(telemetry.nodes, Ordering::Relaxed);
+            .fetch_add(stats.nodes, Ordering::Relaxed);
         metrics
             .solver_propagations
-            .fetch_add(telemetry.propagations, Ordering::Relaxed);
+            .fetch_add(stats.propagations, Ordering::Relaxed);
         metrics
             .solver_conflicts
-            .fetch_add(telemetry.conflicts, Ordering::Relaxed);
-        if completion.outcome.is_ok() {
-            if let Some(solved) = &telemetry.solved {
-                self.hints
-                    .remember(&completion.key.params, completion.key.view, solved.clone());
-            }
-        }
+            .fetch_add(stats.conflicts, Ordering::Relaxed);
     }
 
     /// Write-through: append the put (plus any eviction tombstone) to the
@@ -2828,65 +2751,26 @@ fn assemble_batch(items: Vec<Option<Msg>>) -> Msg {
     msg
 }
 
-/// Runs one solve on the worker thread. Returns the canonical serialization
-/// of the result object (or an error message) plus the solver telemetry the
-/// event loop rolls into its counters and neighbor index. `warm_starts`
-/// marks a `refine` under `--solver ilp`: `hint` came from the neighbor
-/// index, and a solution is exported back to it.
-fn solve_job(
-    request: &SolveRequest,
-    warm_starts: bool,
-    hint: Option<RefinementHint>,
-) -> (Result<String, String>, SolveTelemetry) {
-    let mut telemetry = SolveTelemetry::default();
-    let outcome = solve_job_inner(request, warm_starts, hint, &mut telemetry);
-    (outcome, telemetry)
+/// Runs one solve on the worker thread: the request's engine, as built,
+/// for every op. Returns the canonical serialization of the result object
+/// (or an error message) plus the search statistics summed over every
+/// instance the solve decided, which the event loop rolls into its
+/// counters.
+fn solve_job(request: &SolveRequest) -> (Result<String, String>, SolveStats) {
+    let engine = Tally {
+        engine: request.engine.build(request.time_limit),
+        stats: Cell::default(),
+    };
+    let outcome = run_solve(request, &engine).map_err(|err| err.to_string());
+    (outcome, engine.stats.get())
 }
 
-fn solve_job_inner(
-    request: &SolveRequest,
-    warm_starts: bool,
-    hint: Option<RefinementHint>,
-    telemetry: &mut SolveTelemetry,
-) -> Result<String, String> {
-    // An exact `refine` is the solver core's op: it reports its search,
-    // can start from a neighbor's hint, and can export its solution for
-    // future neighbors. Every other solve runs the request's engine as
-    // built.
-    if request.op == SolveOp::Refine && request.engine == EngineKind::Ilp {
-        let k = request.k.expect("validated at decode");
-        let theta = request.theta.expect("validated at decode");
-        let engine = IlpEngine::with_config(IlpEngineConfig {
-            time_limit: request.time_limit,
-        });
-        let (outcome, stats) = engine
-            .refine_with_hint(&request.view, &request.spec, k, theta, hint.as_ref())
-            .map_err(|err| err.to_string())?;
-        telemetry.warm = stats.hint_vars > 0;
-        telemetry.nodes = stats.nodes;
-        telemetry.propagations = stats.propagations;
-        telemetry.conflicts = stats.conflicts;
-        telemetry.repaired =
-            telemetry.warm && stats.hint_mismatches > 0 && outcome.refinement().is_some();
-        if warm_starts {
-            if let Some(refinement) = outcome.refinement() {
-                telemetry.solved = Some(SolvedHint {
-                    identities: view_identities(&request.view),
-                    assignments: hint_from_refinement(&request.view, refinement).assignments,
-                });
-            }
-        }
-        return Ok(protocol::outcome_to_json(&WireOutcome::from_outcome(&outcome)).to_text());
-    }
-
-    let engine = request.engine.build(request.time_limit);
+fn run_solve(request: &SolveRequest, engine: &dyn RefinementEngine) -> Result<String, RefineError> {
     let result = match request.op {
         SolveOp::Refine => {
             let k = request.k.expect("validated at decode");
             let theta = request.theta.expect("validated at decode");
-            let outcome = engine
-                .refine(&request.view, &request.spec, k, theta)
-                .map_err(|err| err.to_string())?;
+            let outcome = engine.refine(&request.view, &request.spec, k, theta)?;
             protocol::outcome_to_json(&WireOutcome::from_outcome(&outcome))
         }
         SolveOp::HighestTheta => {
@@ -2895,8 +2779,7 @@ fn solve_job_inner(
             if let Some(step) = request.step {
                 options.step = step;
             }
-            let result = highest_theta(&request.view, &request.spec, k, engine.as_ref(), &options)
-                .map_err(|err| err.to_string())?;
+            let result = highest_theta(&request.view, &request.spec, k, engine, &options)?;
             protocol::highest_theta_to_json(&WireHighestTheta::from_result(&result))
         }
         SolveOp::LowestK => {
@@ -2905,15 +2788,43 @@ fn solve_job_inner(
                 &request.view,
                 &request.spec,
                 theta,
-                engine.as_ref(),
+                engine,
                 SweepDirection::Upward,
                 request.max_k,
-            )
-            .map_err(|err| err.to_string())?;
+            )?;
             protocol::lowest_k_to_json(&WireLowestK::from_result(&result))
         }
     };
     Ok(result.to_text())
+}
+
+/// An engine that sums the search statistics of every instance it
+/// decides, so a highest-θ or lowest-k solve reports all of its probes.
+struct Tally {
+    engine: Box<dyn RefinementEngine>,
+    stats: Cell<SolveStats>,
+}
+
+impl RefinementEngine for Tally {
+    fn name(&self) -> &'static str {
+        self.engine.name()
+    }
+
+    fn refine(
+        &self,
+        view: &SignatureView,
+        spec: &SigmaSpec,
+        k: usize,
+        theta: Ratio,
+    ) -> Result<RefineOutcome, RefineError> {
+        let (outcome, stats) = self.engine.refine_with_stats(view, spec, k, theta)?;
+        let mut total = self.stats.get();
+        total.nodes += stats.nodes;
+        total.propagations += stats.propagations;
+        total.conflicts += stats.conflicts;
+        self.stats.set(total);
+        Ok(outcome)
+    }
 }
 
 /// Serves until a `shutdown` request arrives (the `strudel serve` entry

@@ -59,7 +59,8 @@ pub struct SpanRecord {
     pub outcome: &'static str,
     /// The engine that computed the result (empty when no solve ran).
     pub engine: &'static str,
-    /// Branch-and-bound nodes of the solve (0 when no solve ran).
+    /// CP search nodes of the solve, summed over every instance it decided
+    /// (0 when no solve ran or no exact search did).
     pub nodes: u64,
     /// Whether the slow-request log promoted this span past sampling.
     pub slow: bool,

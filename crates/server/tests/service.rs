@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 
+use strudel_core::engine::{IlpEngine, RefineOutcome};
 use strudel_core::sigma::SigmaSpec;
 use strudel_rdf::signature::SignatureView;
 use strudel_rules::prelude::Ratio;
@@ -740,14 +741,46 @@ fn shutdown_stops_accepting_new_connections() {
     assert!(refused, "the server must stop serving after shutdown");
 }
 
-/// The solver core's serving-stack seam: under `--solver ilp` the first
-/// `refine` of a family solves cold and registers its solution in the
-/// neighbor index; an S+1 variant of the same question then solves warm,
-/// and the `status` solver block accounts both. The variant names the
-/// hybrid engine: `--solver ilp` runs it exactly, so it asks the same
-/// question and lands in the same hint bucket.
+/// Variant `variant` of `bench_server`'s solver family, for `tenant`: Cov
+/// at k = 3 and θ = 1/2 over 14 signatures on 10 properties, plus one more
+/// signature for variants 1 and up.
+fn bench_family(variant: usize, tenant: &str) -> SolveRequest {
+    let properties: Vec<String> = (0..10).map(|i| format!("http://ex/p{i}")).collect();
+    let mut signatures: Vec<(Vec<usize>, usize)> = (0..14)
+        .map(|i| {
+            let width = 2 + (i % 4);
+            let start = (i * 3) % 5;
+            ((start..start + width).collect(), 10 + (i * 17) % 60)
+        })
+        .collect();
+    if variant > 0 {
+        let width = 2 + (variant % 3);
+        let start = (variant * 2) % 5;
+        signatures.push(((start..start + width).collect(), 7 + variant % 5));
+    }
+    SolveRequest {
+        op: SolveOp::Refine,
+        view: SignatureView::from_counts(properties, signatures).expect("valid view"),
+        spec: SigmaSpec::Coverage,
+        engine: EngineKind::Ilp,
+        k: Some(3),
+        theta: Some(Ratio::new(1, 2)),
+        step: None,
+        max_k: None,
+        time_limit: None,
+        routing: None,
+        tenant: Some(tenant.to_owned()),
+    }
+}
+
+/// Under `--solver ilp` a refinement depends on its request alone. The
+/// family has many refinements that meet (k, θ); a tenant that solved the
+/// base and variants 1–6 first must get variant 7's answer byte for byte
+/// as a tenant that asks for variant 7 alone. Neither the segment nor the
+/// replication stream carries what a process solved before, so an answer
+/// that depended on it could not be replayed.
 #[test]
-fn a_neighboring_instance_solves_warm_under_the_ilp_solver_mode() {
+fn a_refinement_depends_on_its_request_alone_under_the_ilp_solver_mode() {
     let handle = server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -757,24 +790,73 @@ fn a_neighboring_instance_solves_warm_under_the_ilp_solver_mode() {
     })
     .expect("binding an ephemeral port");
     let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut solve = |variant: usize, tenant: &str| {
+        let response = client.solve(&bench_family(variant, tenant)).expect("solve");
+        assert_eq!(
+            response.source(),
+            Some(Source::Solved),
+            "variant {variant} for {tenant}"
+        );
+        response.result_text().expect("payload").to_owned()
+    };
+    let mut after_history = String::new();
+    for variant in 0..=7 {
+        after_history = solve(variant, "history");
+    }
+    let alone = solve(7, "fresh");
+    assert_eq!(
+        after_history, alone,
+        "variant 7's answer depends on what its tenant solved before"
+    );
+    client.shutdown().expect("shutdown");
+    handle.wait();
+}
 
-    let properties: Vec<String> = (0..4).map(|i| format!("http://ex/p{i}")).collect();
-    let base: Vec<(Vec<usize>, usize)> = vec![
-        (vec![0], 40),
-        (vec![0, 1], 25),
-        (vec![0, 1, 2], 10),
-        (vec![0, 1, 2, 3], 5),
-        (vec![0, 2, 3], 2),
-    ];
-    let mut neighbor = base.clone();
-    neighbor.push((vec![1, 2], 3)); // S+1: one extra signature
-    let request = |signatures: Vec<(Vec<usize>, usize)>, engine| SolveRequest {
-        op: SolveOp::Refine,
-        view: SignatureView::from_counts(properties.clone(), signatures).expect("valid view"),
+/// The `status` solver block counts the search of every solve, not only
+/// of an exact `refine`. A default-mode hybrid `refine` that greedy cannot
+/// answer runs the ILP phase, and an `ilp` highest-θ runs one search per
+/// probe: each must raise `propagations`.
+#[test]
+fn status_counts_the_search_of_every_solve() {
+    let view = SignatureView::from_counts(
+        (0..4).map(|i| format!("http://ex/p{i}")).collect(),
+        vec![
+            (vec![0], 40),
+            (vec![0, 1], 25),
+            (vec![0, 1, 2], 10),
+            (vec![0, 1, 2, 3], 5),
+            (vec![0, 2, 3], 2),
+        ],
+    )
+    .expect("valid view");
+    let refuted = Ratio::new(4, 5);
+    // The premise: no 2-sort refinement reaches θ = 4/5, so only the
+    // exact engine can answer, and its proof propagates.
+    let (outcome, stats) = IlpEngine::new()
+        .refine_with_hint(&view, &SigmaSpec::Coverage, 2, refuted, None)
+        .expect("exact solve");
+    assert!(matches!(outcome, RefineOutcome::Infeasible), "{outcome:?}");
+    assert!(stats.propagations > 0, "{stats:?}");
+
+    let handle = start_test_server(2, 16);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let propagations = |client: &mut Client| {
+        let status = client.status().expect("status");
+        let result = status.result().expect("status result");
+        result
+            .get("solver")
+            .and_then(|solver| solver.get("propagations"))
+            .and_then(Json::as_int)
+            .unwrap_or_else(|| panic!("no solver.propagations: {result:?}"))
+    };
+    assert_eq!(propagations(&mut client), 0);
+    let request = |op, engine, theta| SolveRequest {
+        op,
+        view: view.clone(),
         spec: SigmaSpec::Coverage,
         engine,
         k: Some(2),
-        theta: Some(Ratio::new(1, 2)),
+        theta,
         step: None,
         max_k: None,
         time_limit: None,
@@ -782,34 +864,28 @@ fn a_neighboring_instance_solves_warm_under_the_ilp_solver_mode() {
         tenant: None,
     };
 
-    let cold = client
-        .solve(&request(base, EngineKind::Ilp))
-        .expect("cold solve");
-    assert_eq!(cold.source(), Some(Source::Solved));
-    let warm = client
-        .solve(&request(neighbor, EngineKind::Hybrid))
-        .expect("warm solve");
-    assert_eq!(warm.source(), Some(Source::Solved));
-
-    let status = client.status().expect("status");
-    let result = status.result().expect("status result").clone();
-    let solver = result.get("solver").expect("solver block").clone();
-    let int = |field: &str| {
-        solver
-            .get(field)
-            .and_then(Json::as_int)
-            .unwrap_or_else(|| panic!("solver block lacks {field}: {solver:?}"))
-    };
-    assert_eq!(
-        solver.get("mode").and_then(Json::as_str),
-        Some("ilp"),
-        "mode: {solver:?}"
+    let hybrid = client
+        .solve(&request(SolveOp::Refine, EngineKind::Hybrid, Some(refuted)))
+        .expect("hybrid refine");
+    let outcome = hybrid
+        .result()
+        .and_then(|result| result.get("outcome"))
+        .and_then(Json::as_str);
+    assert_eq!(outcome, Some("infeasible"));
+    let after_refine = propagations(&mut client);
+    assert!(
+        after_refine > 0,
+        "the hybrid engine's ILP phase went uncounted"
     );
-    assert_eq!(int("cold_solves"), 1);
-    assert_eq!(int("warm_solves"), 1, "the S+1 variant must seed warm");
-    assert_eq!(int("seed_lookups"), 2);
-    assert_eq!(int("seed_hits"), 1);
-    assert!(int("nodes") >= 2, "both exact solves explore nodes");
+
+    let search = client
+        .solve(&request(SolveOp::HighestTheta, EngineKind::Ilp, None))
+        .expect("ilp highest-theta");
+    assert_eq!(search.source(), Some(Source::Solved));
+    assert!(
+        propagations(&mut client) > after_refine,
+        "the highest-theta probes went uncounted"
+    );
 
     client.shutdown().expect("shutdown");
     handle.wait();
