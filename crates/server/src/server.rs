@@ -24,9 +24,9 @@
 //! **Event loop.** Connections cost a buffer, not a thread: the loop owns
 //! every socket in non-blocking mode and pumps reads, dispatch, solve
 //! completions, and writes per readiness event. Readiness comes from a
-//! pluggable [`Poller`](crate::poller) backend — kernel epoll on Linux
-//! (direct syscall bindings, no external crates) or the portable
-//! full-scan/park fallback — selected at runtime (`serve --poller`).
+//! [`Poller`](crate::poller) backend the platform picks — kernel epoll on
+//! Linux (direct syscall bindings, no external crates), the portable
+//! full-scan/park fallback elsewhere.
 //! Only fds the poller reports ready are pumped; write interest is
 //! enabled exactly while a connection holds un-flushed bytes; dead fds
 //! are deregistered instead of re-scanned; and compute-pool completions
@@ -76,7 +76,7 @@ use crate::cache::{
 use crate::flight::{BoardJoin, FlightBoard, FlightStats};
 use crate::json::Json;
 use crate::poller::{
-    self, Event, Fd, Interest, Poller, PollerCounters, PollerKind, PollerStats, Waker as PollWaker,
+    self, Event, Fd, Interest, Poller, PollerCounters, PollerStats, Waker as PollWaker,
 };
 use crate::pool::WorkerPool;
 use crate::protocol::{
@@ -123,11 +123,6 @@ pub struct ServerConfig {
     /// an explicit `promote` request (`strudel promote`). Must comfortably
     /// exceed [`replica::HEARTBEAT_INTERVAL`].
     pub auto_promote: Option<Duration>,
-    /// Readiness backend of the event loop (`serve --poller epoll|scan`).
-    /// `None` auto-detects: the `STRUDEL_POLLER` environment override (the
-    /// conformance matrix uses it) first, then epoll on Linux, scan
-    /// elsewhere — see [`PollerKind::resolve`].
-    pub poller: Option<PollerKind>,
     /// Per-tenant QoS configuration (`serve --tenants SPEC`): cache
     /// weights, admission rates, and compute-pool shares (see
     /// [`TenantSpecSet::parse`]). `None` runs a single unlimited
@@ -142,12 +137,14 @@ pub struct ServerConfig {
     /// Trace-sampling divisor (`serve --trace-sample N`): every Nth solve
     /// request is recorded as a flight-recorder span; 0 disables sampling.
     /// `None` consults the `STRUDEL_TRACE_SAMPLE` environment override (the
-    /// CI trace-smoke matrix uses it), then defaults to 0.
+    /// CI trace-smoke step uses it), then defaults to 0; a malformed
+    /// override fails [`start`].
     pub trace_sample: Option<u64>,
     /// Slow-request threshold in milliseconds (`serve --trace-slow-ms`):
     /// when set, every request is timed and any at or over the threshold is
     /// recorded regardless of sampling. `None` consults
-    /// `STRUDEL_TRACE_SLOW_MS`, then leaves the slow log off.
+    /// `STRUDEL_TRACE_SLOW_MS`, then leaves the slow log off; a malformed
+    /// override fails [`start`].
     pub trace_slow_ms: Option<u64>,
 }
 
@@ -163,7 +160,6 @@ impl Default for ServerConfig {
             fsync: FsyncPolicy::default(),
             follow: None,
             auto_promote: None,
-            poller: None,
             tenants: None,
             solver: None,
             trace_sample: None,
@@ -606,6 +602,10 @@ pub struct ServerHandle {
 /// (so `handle.addr()` is immediately connectable) and, when persistence is
 /// configured, once the segment file has been replayed into the cache.
 pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
+    // A malformed trace override fails here, before anything is bound.
+    let sample_every = trace::resolve_sample(config.trace_sample)?;
+    let slow_ms = trace::resolve_slow_ms(config.trace_slow_ms)?;
+
     // std's TcpListener::bind sets SO_REUSEADDR on Unix before binding, so
     // a server restarted immediately after shutdown rebinds its port even
     // while the previous instance's connections sit in TIME_WAIT (rapid
@@ -615,12 +615,10 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
 
     // The readiness backend is opened here, not on the loop thread, so a
-    // misconfiguration (epoll requested off-Linux, a bad STRUDEL_POLLER
-    // value, fd exhaustion) fails the bind call instead of killing the
+    // failure (fd exhaustion) fails the bind call instead of killing the
     // loop thread after `start` already returned success.
-    let poller_kind = PollerKind::resolve(config.poller)?;
     let poller_counters = Arc::new(PollerCounters::default());
-    let poll = poller::open(poller_kind, Arc::clone(&poller_counters))?;
+    let poll = poller::open(Arc::clone(&poller_counters))?;
     let waker = poll.waker();
 
     // A sharded server derives the cluster's ring from the shard count
@@ -699,13 +697,10 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         started: Instant::now(),
         waker,
         poller_counters,
-        poller_backend: poller_kind.name(),
+        poller_backend: poll.backend(),
         completions: Arc::new(Mutex::new(Vec::new())),
         solver: config.solver,
-        observe: ObserveState::new(
-            trace::resolve_sample(config.trace_sample),
-            trace::resolve_slow_ms(config.trace_slow_ms).map(|ms| ms.saturating_mul(1000)),
-        ),
+        observe: ObserveState::new(sample_every, slow_ms.map(|ms| ms.saturating_mul(1000))),
     });
 
     let loop_shared = Arc::clone(&shared);

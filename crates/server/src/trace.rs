@@ -23,6 +23,7 @@
 //! only cost is one atomic load per solve.
 
 use std::collections::VecDeque;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -412,24 +413,42 @@ impl ObserveState {
 
 /// Resolves the sampling divisor: an explicit `--trace-sample` wins, then
 /// the `STRUDEL_TRACE_SAMPLE` environment variable (the hook the CI
-/// trace-smoke matrix uses to run unmodified e2e suites traced), then off.
-pub fn resolve_sample(explicit: Option<u64>) -> u64 {
-    if let Some(every) = explicit {
-        return every;
+/// trace-smoke step uses to run unmodified e2e suites traced), then off.
+/// A malformed override is an `InvalidInput` error naming the variable,
+/// so a typo cannot run a suite untraced.
+pub fn resolve_sample(explicit: Option<u64>) -> io::Result<u64> {
+    match explicit {
+        Some(every) => Ok(every),
+        None => Ok(env_override("STRUDEL_TRACE_SAMPLE")?.unwrap_or(0)),
     }
-    std::env::var("STRUDEL_TRACE_SAMPLE")
-        .ok()
-        .and_then(|value| value.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// Resolves the slow-log threshold in milliseconds: an explicit
-/// `--trace-slow-ms` wins, then `STRUDEL_TRACE_SLOW_MS`, then off.
-pub fn resolve_slow_ms(explicit: Option<u64>) -> Option<u64> {
-    explicit.or_else(|| {
-        std::env::var("STRUDEL_TRACE_SLOW_MS")
-            .ok()
-            .and_then(|value| value.trim().parse().ok())
+/// `--trace-slow-ms` wins, then `STRUDEL_TRACE_SLOW_MS`, then off. A
+/// malformed override is an error, as for [`resolve_sample`].
+pub fn resolve_slow_ms(explicit: Option<u64>) -> io::Result<Option<u64>> {
+    match explicit {
+        Some(ms) => Ok(Some(ms)),
+        None => env_override("STRUDEL_TRACE_SLOW_MS"),
+    }
+}
+
+fn env_override(name: &str) -> io::Result<Option<u64>> {
+    let value = std::env::var_os(name).map(|value| value.to_string_lossy().into_owned());
+    parse_override(name, value.as_deref())
+}
+
+/// Parses the value of the override variable `name` (`None` when unset):
+/// a non-negative integer, surrounding whitespace allowed.
+fn parse_override(name: &str, value: Option<&str>) -> io::Result<Option<u64>> {
+    let Some(text) = value else {
+        return Ok(None);
+    };
+    text.trim().parse().map(Some).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{name}: invalid value '{text}' (expected a non-negative integer)"),
+        )
     })
 }
 
@@ -624,6 +643,23 @@ mod tests {
         let rebuilt = histogram_from_json(&histogram_to_json(&snapshot)).expect("round trip");
         assert_eq!(rebuilt, snapshot);
         assert_eq!(rebuilt.p99(), snapshot.p99());
+    }
+
+    #[test]
+    fn a_trace_override_parses_or_names_its_variable() {
+        let parse = |value| parse_override("STRUDEL_TRACE_SAMPLE", value);
+        assert_eq!(parse(None).unwrap(), None);
+        assert_eq!(parse(Some("1")).unwrap(), Some(1));
+        assert_eq!(parse(Some(" 0 ")).unwrap(), Some(0));
+        for bad in ["often", "-3", ""] {
+            let err = parse(Some(bad)).expect_err(bad);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(
+                err.to_string()
+                    .starts_with("STRUDEL_TRACE_SAMPLE: invalid value"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   segment replays byte-identical answers, while the other shards keep
 //!   serving throughout.
 
-mod common;
-
 use std::path::PathBuf;
 
 use strudel_core::sigma::SigmaSpec;
@@ -36,13 +34,8 @@ fn persist_base(tag: &str) -> PathBuf {
     ))
 }
 
-/// A shard config pinned to one poller backend (`None` lets
-/// `STRUDEL_POLLER`/platform auto-detection decide, as production does).
-fn shard_config_on(
-    poller: Option<PollerKind>,
-    index: u32,
-    persist: Option<&PathBuf>,
-) -> ServerConfig {
+/// The config of shard `index`, persisting under `persist` when set.
+fn shard_config(index: u32, persist: Option<&PathBuf>) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -52,21 +45,13 @@ fn shard_config_on(
             index,
             count: SHARDS,
         }),
-        poller,
         ..ServerConfig::default()
     }
 }
 
 fn start_cluster(persist: Option<&PathBuf>) -> (Vec<ServerHandle>, Vec<String>) {
-    start_cluster_on(None, persist)
-}
-
-fn start_cluster_on(
-    poller: Option<PollerKind>,
-    persist: Option<&PathBuf>,
-) -> (Vec<ServerHandle>, Vec<String>) {
     let handles: Vec<ServerHandle> = (0..SHARDS)
-        .map(|index| server::start(&shard_config_on(poller, index, persist)).expect("bind shard"))
+        .map(|index| server::start(&shard_config(index, persist)).expect("bind shard"))
         .collect();
     let addrs = handles
         .iter()
@@ -273,13 +258,7 @@ fn misrouted_and_stale_requests_get_structured_wrong_shard_errors() {
 
 #[test]
 fn killing_and_warm_restarting_one_shard_replays_byte_identically() {
-    // Byte-identity across a kill + warm restart is the cluster suite's
-    // sharpest behavioral proof, so it runs once per poller backend.
-    common::for_each_backend("cluster-warm-restart", warm_restart_leg);
-}
-
-fn warm_restart_leg(kind: PollerKind) {
-    let base = persist_base(&format!("warm-{kind}"));
+    let base = persist_base("warm");
     for index in 0..SHARDS {
         std::fs::remove_file(shard_segment_path(
             &base,
@@ -291,7 +270,7 @@ fn warm_restart_leg(kind: PollerKind) {
         .ok();
     }
 
-    let (handles, addrs) = start_cluster_on(Some(kind), Some(&base));
+    let (handles, addrs) = start_cluster(Some(&base));
     let mut router = Router::connect(&addrs).expect("connect router");
     let ring = router.ring().clone();
     let requests = spread_requests(&ring, 2);
@@ -335,7 +314,7 @@ fn warm_restart_leg(kind: PollerKind) {
     handles[victim as usize] = Some(
         server::start(&ServerConfig {
             addr: victim_addr,
-            ..shard_config_on(Some(kind), victim, Some(&base))
+            ..shard_config(victim, Some(&base))
         })
         .expect("warm-restart the victim shard"),
     );

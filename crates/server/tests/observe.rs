@@ -1,5 +1,5 @@
 //! E2e tests of the observability surface over real TCP: the `trace` wire
-//! command on both poller backends and both framings, the slow-request
+//! command on both framings, the slow-request
 //! log's promotion past sampling, tenant-tagged histograms, and the
 //! accuracy contract — the observe block's per-stage latencies must
 //! account for the end-to-end latency a client actually measures.
@@ -15,16 +15,11 @@ use strudel_rdf::signature::SignatureView;
 use strudel_rules::prelude::Ratio;
 use strudel_server::prelude::*;
 
-fn start_traced_server(
-    kind: Option<PollerKind>,
-    trace_sample: Option<u64>,
-    trace_slow_ms: Option<u64>,
-) -> ServerHandle {
+fn start_traced_server(trace_sample: Option<u64>, trace_slow_ms: Option<u64>) -> ServerHandle {
     server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         cache_capacity: 64,
-        poller: kind,
         trace_sample,
         trace_slow_ms,
         ..ServerConfig::default()
@@ -107,87 +102,80 @@ fn assert_well_formed(span: &Json) {
 
 #[test]
 fn trace_returns_sampled_spans_on_both_framings() {
-    common::for_each_backend("trace_returns_sampled_spans_on_both_framings", |kind| {
-        let handle = start_traced_server(Some(kind), Some(1), None);
-        let addr = handle.addr();
-        for framing in [FramingMode::Json, FramingMode::Bin1] {
-            let options = ClientOptions {
-                framing: Some(framing),
-                ..ClientOptions::default()
-            };
-            let mut client = Client::connect_with(addr, options).expect("connect");
-            client
-                .solve(&refine_request(0, None))
-                .expect("solve succeeds");
-            let response = client.trace(false, None).expect("trace succeeds");
-            let spans = spans_of(&response);
-            assert!(!spans.is_empty(), "1/1 sampling must record every solve");
-            for span in &spans {
-                assert_well_formed(span);
-                assert_eq!(span.get("op").and_then(Json::as_str), Some("refine"));
-                assert_eq!(span.get("slow").and_then(Json::as_bool), Some(false));
-            }
-            // Sequence numbers are monotonically increasing.
-            let seqs: Vec<i64> = spans
-                .iter()
-                .map(|span| span.get("seq").and_then(Json::as_int).unwrap())
-                .collect();
-            assert!(seqs.windows(2).all(|pair| pair[0] < pair[1]), "{seqs:?}");
+    let handle = start_traced_server(Some(1), None);
+    let addr = handle.addr();
+    for framing in [FramingMode::Json, FramingMode::Bin1] {
+        let options = ClientOptions {
+            framing: Some(framing),
+            ..ClientOptions::default()
+        };
+        let mut client = Client::connect_with(addr, options).expect("connect");
+        client
+            .solve(&refine_request(0, None))
+            .expect("solve succeeds");
+        let response = client.trace(false, None).expect("trace succeeds");
+        let spans = spans_of(&response);
+        assert!(!spans.is_empty(), "1/1 sampling must record every solve");
+        for span in &spans {
+            assert_well_formed(span);
+            assert_eq!(span.get("op").and_then(Json::as_str), Some("refine"));
+            assert_eq!(span.get("slow").and_then(Json::as_bool), Some(false));
         }
-        handle.shutdown();
-        handle.wait();
-    });
+        // Sequence numbers are monotonically increasing.
+        let seqs: Vec<i64> = spans
+            .iter()
+            .map(|span| span.get("seq").and_then(Json::as_int).unwrap())
+            .collect();
+        assert!(seqs.windows(2).all(|pair| pair[0] < pair[1]), "{seqs:?}");
+    }
+    handle.shutdown();
+    handle.wait();
 }
 
 #[test]
 fn slow_log_promotes_past_sampling_and_tenants_filter() {
-    common::for_each_backend(
-        "slow_log_promotes_past_sampling_and_tenants_filter",
-        |kind| {
-            // Sampling off entirely; a 0 ms threshold promotes every request.
-            let handle = start_traced_server(Some(kind), Some(0), Some(0));
-            let addr = handle.addr();
-            let mut client = Client::connect(addr).expect("connect");
-            client
-                .solve(&refine_request(0, None))
-                .expect("default-tenant solve");
-            client
-                .solve(&refine_request(1, Some("acme")))
-                .expect("acme solve");
+    // Sampling off entirely; a 0 ms threshold promotes every request.
+    let handle = start_traced_server(Some(0), Some(0));
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .solve(&refine_request(0, None))
+        .expect("default-tenant solve");
+    client
+        .solve(&refine_request(1, Some("acme")))
+        .expect("acme solve");
 
-            let all = spans_of(&client.trace(false, None).expect("trace"));
-            assert_eq!(all.len(), 2, "0 ms slow log records everything");
-            for span in &all {
-                assert_well_formed(span);
-                assert_eq!(span.get("slow").and_then(Json::as_bool), Some(true));
-            }
-            let slow_only = spans_of(&client.trace(true, None).expect("trace --slow"));
-            assert_eq!(slow_only.len(), 2);
-            let acme = spans_of(&client.trace(false, Some("acme")).expect("tenant filter"));
-            assert_eq!(acme.len(), 1);
-            assert_eq!(
-                acme[0].get("tenant").and_then(Json::as_str),
-                Some("acme"),
-                "tenant filter must only return that tenant's spans"
-            );
-
-            // The observe block tags the tenant's total histogram too.
-            let status = client.status().expect("status");
-            let result = status.result().expect("status result");
-            let tenants = match result.get("observe").and_then(|o| o.get("tenants")) {
-                Some(Json::Arr(tenants)) => tenants.clone(),
-                other => panic!("observe.tenants must be an array, got {other:?}"),
-            };
-            let names: Vec<&str> = tenants
-                .iter()
-                .filter_map(|t| t.get("name").and_then(Json::as_str))
-                .collect();
-            assert!(names.contains(&"acme"), "tenants: {names:?}");
-
-            handle.shutdown();
-            handle.wait();
-        },
+    let all = spans_of(&client.trace(false, None).expect("trace"));
+    assert_eq!(all.len(), 2, "0 ms slow log records everything");
+    for span in &all {
+        assert_well_formed(span);
+        assert_eq!(span.get("slow").and_then(Json::as_bool), Some(true));
+    }
+    let slow_only = spans_of(&client.trace(true, None).expect("trace --slow"));
+    assert_eq!(slow_only.len(), 2);
+    let acme = spans_of(&client.trace(false, Some("acme")).expect("tenant filter"));
+    assert_eq!(acme.len(), 1);
+    assert_eq!(
+        acme[0].get("tenant").and_then(Json::as_str),
+        Some("acme"),
+        "tenant filter must only return that tenant's spans"
     );
+
+    // The observe block tags the tenant's total histogram too.
+    let status = client.status().expect("status");
+    let result = status.result().expect("status result");
+    let tenants = match result.get("observe").and_then(|o| o.get("tenants")) {
+        Some(Json::Arr(tenants)) => tenants.clone(),
+        other => panic!("observe.tenants must be an array, got {other:?}"),
+    };
+    let names: Vec<&str> = tenants
+        .iter()
+        .filter_map(|t| t.get("name").and_then(Json::as_str))
+        .collect();
+    assert!(names.contains(&"acme"), "tenants: {names:?}");
+
+    handle.shutdown();
+    handle.wait();
 }
 
 /// A refine the victim connection will not live to see answered. The time
@@ -222,77 +210,75 @@ fn a_dying_connection_closes_its_spans_as_aborted() {
     // before the RST, and no span can be aborted.
     common::assert_stays_undecided(&doomed_request());
 
-    common::for_each_backend("a_dying_connection_closes_its_spans_as_aborted", |kind| {
-        // 0 ms slow threshold: every finished span reaches the recorder,
-        // aborted ones included.
-        let handle = start_traced_server(Some(kind), Some(0), Some(0));
-        let addr = handle.addr();
+    // 0 ms slow threshold: every finished span reaches the recorder,
+    // aborted ones included.
+    let handle = start_traced_server(Some(0), Some(0));
+    let addr = handle.addr();
 
-        // The victim speaks line-JSON on a raw socket — the Client type
-        // insists on reading each response, and the point here is to
-        // leave one unread and then disappear.
-        let mut victim = TcpStream::connect(addr).expect("victim connects");
-        victim
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        let fast = refine_request(0, None).to_json().to_text();
-        victim
-            .write_all(fast.as_bytes())
-            .and_then(|()| victim.write_all(b"\n"))
-            .expect("fast request");
-        // Block until the fast response is sitting *unread* in the
-        // victim's receive buffer: dropping a socket with unread data
-        // makes the kernel send RST rather than FIN, which is what kills
-        // the connection server-side while the next solve is in flight.
-        let mut peeked = [0u8; 1];
-        victim
-            .peek(&mut peeked)
-            .expect("fast response reaches the victim's buffer");
+    // The victim speaks line-JSON on a raw socket — the Client type
+    // insists on reading each response, and the point here is to
+    // leave one unread and then disappear.
+    let mut victim = TcpStream::connect(addr).expect("victim connects");
+    victim
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let fast = refine_request(0, None).to_json().to_text();
+    victim
+        .write_all(fast.as_bytes())
+        .and_then(|()| victim.write_all(b"\n"))
+        .expect("fast request");
+    // Block until the fast response is sitting *unread* in the
+    // victim's receive buffer: dropping a socket with unread data
+    // makes the kernel send RST rather than FIN, which is what kills
+    // the connection server-side while the next solve is in flight.
+    let mut peeked = [0u8; 1];
+    victim
+        .peek(&mut peeked)
+        .expect("fast response reaches the victim's buffer");
 
-        let slow = doomed_request().to_json().to_text();
-        victim
-            .write_all(slow.as_bytes())
-            .and_then(|()| victim.write_all(b"\n"))
-            .expect("slow request");
-        // Long enough for the event loop to read and dispatch the slow
-        // solve; far shorter than the solve itself.
-        std::thread::sleep(Duration::from_millis(100));
-        drop(victim); // unread data in the buffer: this close is an RST
+    let slow = doomed_request().to_json().to_text();
+    victim
+        .write_all(slow.as_bytes())
+        .and_then(|()| victim.write_all(b"\n"))
+        .expect("slow request");
+    // Long enough for the event loop to read and dispatch the slow
+    // solve; far shorter than the solve itself.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(victim); // unread data in the buffer: this close is an RST
 
-        // The span closes when the stranded completion lands, so give the
-        // poll loop the solve's full time budget plus slack.
-        let mut observer = Client::connect(addr).expect("observer connects");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let aborted = loop {
-            let spans = spans_of(&observer.trace(false, Some("doomed")).expect("trace"));
-            let found = spans
-                .iter()
-                .find(|span| span.get("outcome").and_then(Json::as_str) == Some("aborted"));
-            if let Some(span) = found {
-                break span.clone();
-            }
-            assert!(
-                Instant::now() < deadline,
-                "no aborted span surfaced; tenant spans: {spans:?}"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        };
-        // The aborted span is a full citizen of the wire contract: the
-        // work is priced into the stage laps like any flushed span.
-        assert_well_formed(&aborted);
-        assert_eq!(aborted.get("op").and_then(Json::as_str), Some("refine"));
-        assert_eq!(aborted.get("tenant").and_then(Json::as_str), Some("doomed"));
+    // The span closes when the stranded completion lands, so give the
+    // poll loop the solve's full time budget plus slack.
+    let mut observer = Client::connect(addr).expect("observer connects");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let aborted = loop {
+        let spans = spans_of(&observer.trace(false, Some("doomed")).expect("trace"));
+        let found = spans
+            .iter()
+            .find(|span| span.get("outcome").and_then(Json::as_str) == Some("aborted"));
+        if let Some(span) = found {
+            break span.clone();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no aborted span surfaced; tenant spans: {spans:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    // The aborted span is a full citizen of the wire contract: the
+    // work is priced into the stage laps like any flushed span.
+    assert_well_formed(&aborted);
+    assert_eq!(aborted.get("op").and_then(Json::as_str), Some("refine"));
+    assert_eq!(aborted.get("tenant").and_then(Json::as_str), Some("doomed"));
 
-        handle.shutdown();
-        handle.wait();
-    });
+    handle.shutdown();
+    handle.wait();
 }
 
 #[test]
 fn observe_stage_latencies_account_for_measured_e2e_latency() {
     // Slow log at 0 ms: every request is timed, so the stage histograms
     // see the full population — no sampling noise in the comparison.
-    let handle = start_traced_server(None, Some(0), Some(0));
+    let handle = start_traced_server(Some(0), Some(0));
     let addr = handle.addr();
     let mut client = Client::connect(addr).expect("connect");
 

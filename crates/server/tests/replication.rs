@@ -14,8 +14,6 @@
 //! * `--auto-promote` takes over after a missed-heartbeat window without
 //!   any operator involvement.
 
-mod common;
-
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -218,11 +216,6 @@ fn followers_replay_snapshot_and_live_stream_byte_identically() {
     scrub(&follower_base, 0);
 }
 
-#[test]
-fn an_idle_followers_segment_is_group_fsynced_without_client_traffic() {
-    common::for_each_backend("follower-idle-fsync", follower_idle_fsync_leg);
-}
-
 /// Regression test: replicated records land on the follower's *feed
 /// thread*, but the group-fsync clock (`--fsync interval`) is serviced by
 /// the follower's event loop. Without an explicit wake after a feed-side
@@ -232,15 +225,15 @@ fn an_idle_followers_segment_is_group_fsynced_without_client_traffic() {
 /// (the scan backend's background sweep masked this). All observations go
 /// through `ServerHandle::status`, which snapshots shared state without
 /// touching the loop, so the test cannot wake it by accident.
-fn follower_idle_fsync_leg(kind: PollerKind) {
-    let follower_base = persist_base(&format!("idle-fsync-{kind}"));
+#[test]
+fn an_idle_followers_segment_is_group_fsynced_without_client_traffic() {
+    let follower_base = persist_base("idle-fsync");
     scrub(&follower_base, 0);
 
     let leader = server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         cache_capacity: 64,
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("bind leader");
@@ -251,7 +244,6 @@ fn follower_idle_fsync_leg(kind: PollerKind) {
         persist_path: Some(follower_base.clone()),
         follow: Some(leader.addr().to_string()),
         fsync: FsyncPolicy::parse("interval:100").expect("policy"),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("bind follower");
@@ -279,15 +271,8 @@ fn follower_idle_fsync_leg(kind: PollerKind) {
 
 #[test]
 fn kill_promote_failover_and_refuse_the_resurrected_old_leader() {
-    // Fail-over is the replication suite's sharpest behavioral proof, so
-    // the whole kill → promote → refuse-the-resurrected-leader arc runs
-    // once per poller backend.
-    common::for_each_backend("kill-promote-failover", failover_leg);
-}
-
-fn failover_leg(kind: PollerKind) {
-    let leader_base = persist_base(&format!("promo-leader-{kind}"));
-    let follower_base = persist_base(&format!("promo-follower-{kind}"));
+    let leader_base = persist_base("promo-leader");
+    let follower_base = persist_base("promo-follower");
     scrub(&leader_base, 1);
     scrub(&follower_base, 1);
     let spec = ShardSpec { index: 0, count: 1 };
@@ -299,7 +284,6 @@ fn failover_leg(kind: PollerKind) {
         cache_capacity: 64,
         persist_path: Some(leader_base.clone()),
         shard: Some(spec),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("bind leader");
@@ -312,7 +296,6 @@ fn failover_leg(kind: PollerKind) {
         persist_path: Some(follower_base.clone()),
         shard: Some(spec),
         follow: Some(leader_addr.clone()),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("bind follower");
@@ -397,7 +380,6 @@ fn failover_leg(kind: PollerKind) {
         cache_capacity: 64,
         persist_path: Some(leader_base.clone()),
         shard: Some(spec),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("resurrect old leader");

@@ -1,13 +1,6 @@
 //! Service-level tests over real TCP: concurrency, single-flight
 //! accounting, cache behaviour, batch envelopes, persistence/warm starts,
 //! graceful shutdown, and protocol robustness.
-//!
-//! The behavior-critical tests (byte-identical warm starts,
-//! drain-on-shutdown, slow-reader flushing) run once per poller backend
-//! via [`common::for_each_backend`]; the rest honor the `STRUDEL_POLLER`
-//! override, which CI uses to re-run the whole suite per backend.
-
-mod common;
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -24,17 +17,6 @@ fn start_test_server(workers: usize, cache_capacity: usize) -> ServerHandle {
         addr: "127.0.0.1:0".into(),
         workers,
         cache_capacity,
-        ..ServerConfig::default()
-    })
-    .expect("binding an ephemeral port")
-}
-
-fn start_test_server_on(kind: PollerKind, workers: usize, cache_capacity: usize) -> ServerHandle {
-    server::start(&ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers,
-        cache_capacity,
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("binding an ephemeral port")
@@ -433,18 +415,13 @@ fn status_exposes_evictions_capacity_batch_counters_and_open_connections() {
 
 #[test]
 fn warm_start_replays_the_segment_and_serves_byte_identical_answers() {
-    common::for_each_backend("warm-start", warm_start_leg);
-}
-
-fn warm_start_leg(kind: PollerKind) {
-    let path = persist_path(&format!("warm-start-{kind}"));
+    let path = persist_path("warm-start");
     std::fs::remove_file(&path).ok();
     let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         cache_capacity: 64,
         persist_path: Some(path.clone()),
-        poller: Some(kind),
         ..ServerConfig::default()
     };
 
@@ -505,13 +482,9 @@ fn warm_start_leg(kind: PollerKind) {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_work_before_exit() {
-    common::for_each_backend("drain-on-shutdown", graceful_shutdown_leg);
-}
-
-fn graceful_shutdown_leg(kind: PollerKind) {
     // One worker and a deep backlog: the shutdown request arrives while
     // most of the batch is still queued or solving.
-    let handle = start_test_server_on(kind, 1, 256);
+    let handle = start_test_server(1, 256);
     let addr = handle.addr();
 
     let worker = thread::spawn(move || {
@@ -542,25 +515,21 @@ fn graceful_shutdown_leg(kind: PollerKind) {
     );
 }
 
-#[test]
-fn a_slow_reader_is_flushed_as_it_drains_without_losing_lines() {
-    common::for_each_backend("slow-reader-flush", slow_reader_leg);
-}
-
 /// Regression test for the scan loop's flush-starvation edge: a
 /// connection whose write buffer has filled (the client pipelines
 /// requests but reads nothing) used to wait out a park cycle per flush
 /// opportunity; under the poller trait it holds explicit WRITE interest
-/// and is flushed the moment the peer drains. The observable contract —
-/// asserted here against both backends — is that every pipelined
-/// response arrives intact once the client starts reading, with the
-/// server's buffers forced through repeated backpressure cycles.
-fn slow_reader_leg(kind: PollerKind) {
+/// and is flushed the moment the peer drains. The observable contract is
+/// that every pipelined response arrives intact once the client starts
+/// reading, with the server's buffers forced through repeated
+/// backpressure cycles.
+#[test]
+fn a_slow_reader_is_flushed_as_it_drains_without_losing_lines() {
     use std::io::{BufRead, BufReader, Write};
     const LINES: usize = 200;
     const PER_BATCH: usize = 50;
 
-    let handle = start_test_server_on(kind, 1, 8);
+    let handle = start_test_server(1, 8);
     let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
 
     // Pipeline LINES batch envelopes of PER_BATCH status requests without
@@ -605,14 +574,54 @@ fn slow_reader_leg(kind: PollerKind) {
     let poller = result.get("poller").expect("poller status block");
     assert_eq!(
         poller.get("backend").and_then(Json::as_str),
-        Some(kind.name()),
-        "the configured backend is the one reported: {poller:?}"
+        Some(if cfg!(target_os = "linux") {
+            "epoll"
+        } else {
+            "scan"
+        }),
+        "the platform's backend is the one reported: {poller:?}"
     );
     assert!(
         poller.get("registered").and_then(Json::as_int) >= Some(2),
         "both live connections are registered: {poller:?}"
     );
     client.shutdown().expect("shutdown");
+    handle.wait();
+}
+
+/// An idle server blocks in its readiness wait instead of sweeping its
+/// connections: with 16 silent connections open, half a second costs at
+/// most 2 poller waits (the scan backend makes hundreds). The counters
+/// are read through `ServerHandle::status`, which does not wake the loop.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_server_blocks_instead_of_sweeping() {
+    use std::time::{Duration, Instant};
+    const CONNECTIONS: u64 = 16;
+
+    let handle = start_test_server(1, 8);
+    let silent: Vec<std::net::TcpStream> = (0..CONNECTIONS)
+        .map(|_| std::net::TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.status().open_connections < CONNECTIONS {
+        assert!(
+            Instant::now() < deadline,
+            "the server never accepted all 16"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+
+    let before = handle.status().poller.waits;
+    thread::sleep(Duration::from_millis(500));
+    let waits = handle.status().poller.waits - before;
+    assert!(
+        waits <= 2,
+        "an idle server made {waits} poller waits in 500 ms"
+    );
+
+    drop(silent);
+    handle.shutdown();
     handle.wait();
 }
 

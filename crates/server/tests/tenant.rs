@@ -13,10 +13,6 @@
 //! * kill → promote and a warm restart both preserve per-tenant
 //!   accounting, because segment records and the replication stream are
 //!   tenant-tagged.
-//!
-//! The noisy-neighbor and fail-over arcs run once per poller backend via
-//! [`common::for_each_backend`]; the rest honor the `STRUDEL_POLLER`
-//! override CI uses to re-run the suite per backend.
 
 mod common;
 
@@ -159,16 +155,11 @@ fn tenant_int(client: &mut Client, name: &str, field: &str) -> i64 {
 
 #[test]
 fn noisy_neighbor_is_throttled_while_the_quiet_tenant_stays_served() {
-    common::for_each_backend("noisy-neighbor", noisy_neighbor_leg);
-}
-
-fn noisy_neighbor_leg(kind: PollerKind) {
     let handle = server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         cache_capacity: 64,
         tenants: Some(TenantSpecSet::parse("noisy:rate=1,burst=1;quiet:weight=1").expect("spec")),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("binding an ephemeral port");
@@ -438,12 +429,8 @@ fn pool_share_refuses_a_second_lead_but_coalescing_joins_stay_free() {
 
 #[test]
 fn promotion_and_warm_restart_preserve_per_tenant_accounting() {
-    common::for_each_backend("tenant-promotion", promotion_leg);
-}
-
-fn promotion_leg(kind: PollerKind) {
-    let leader_base = persist_base(&format!("promo-leader-{kind}"));
-    let follower_base = persist_base(&format!("promo-follower-{kind}"));
+    let leader_base = persist_base("promo-leader");
+    let follower_base = persist_base("promo-follower");
     scrub(&leader_base, 1);
     scrub(&follower_base, 1);
     let spec = ShardSpec { index: 0, count: 1 };
@@ -456,7 +443,6 @@ fn promotion_leg(kind: PollerKind) {
         persist_path: Some(leader_base.clone()),
         shard: Some(spec),
         tenants: Some(tenants.clone()),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("bind leader");
@@ -500,7 +486,6 @@ fn promotion_leg(kind: PollerKind) {
         shard: Some(spec),
         follow: Some(leader_addr.clone()),
         tenants: Some(tenants.clone()),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("bind follower");
@@ -557,7 +542,6 @@ fn promotion_leg(kind: PollerKind) {
         persist_path: Some(follower_base.clone()),
         shard: Some(spec),
         tenants: Some(tenants),
-        poller: Some(kind),
         ..ServerConfig::default()
     })
     .expect("bind warm restart");
