@@ -225,10 +225,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 fn serve_announced(
     config: &ServerConfig,
 ) -> Result<strudel_server::prelude::StatusSnapshot, CliError> {
-    let handle = strudel_server::server::start(config).map_err(|source| CliError::Io {
-        path: config.addr.clone(),
-        source,
-    })?;
+    let handle = strudel_server::server::start(config).map_err(CliError::Serve)?;
     eprintln!(
         "strudel-server listening on {} ({} workers, {}-entry cache, {} poller{}{}{})",
         handle.addr(),
@@ -334,6 +331,25 @@ mod tests {
         assert!(report.contains("persist:"), "report: {report}");
         assert!(segment.exists(), "segment file must be created");
         std::fs::remove_file(&segment).ok();
+    }
+
+    #[test]
+    fn a_start_failure_names_the_segment_not_the_address() {
+        let addr = free_addr();
+        let segment = std::env::temp_dir()
+            .join(format!("strudel-serve-missing-{}", std::process::id()))
+            .join("seg");
+        let err = run(&args(&[
+            "--addr",
+            &addr,
+            "--persist",
+            segment.to_str().unwrap(),
+        ]))
+        .expect_err("the segment's directory does not exist");
+        let message = err.to_string();
+        assert!(matches!(err, CliError::Serve(_)), "{message}");
+        assert!(message.contains(segment.to_str().unwrap()), "{message}");
+        assert!(!message.contains(&addr), "{message}");
     }
 
     #[test]

@@ -21,6 +21,9 @@ pub enum CliError {
         /// The underlying I/O error.
         source: io::Error,
     },
+    /// Starting the refinement server failed. The error names what failed:
+    /// the address, the segment, or a malformed trace variable.
+    Serve(io::Error),
     /// Parsing an RDF document failed.
     Parse {
         /// The path of the offending document.
@@ -49,6 +52,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::Usage(message) => write!(f, "{message}"),
             CliError::Io { path, source } => write!(f, "cannot access '{path}': {source}"),
+            CliError::Serve(source) => write!(f, "cannot start the server: {source}"),
             CliError::Parse { path, source } => write!(f, "cannot parse '{path}': {source}"),
             CliError::Rule(err) => write!(f, "invalid rule: {err}"),
             CliError::Model(err) => write!(f, "cannot build the dataset view: {err}"),
@@ -65,6 +69,7 @@ impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CliError::Io { source, .. } => Some(source),
+            CliError::Serve(source) => Some(source),
             CliError::Parse { source, .. } => Some(source),
             CliError::Rule(err) => Some(err),
             CliError::Model(err) => Some(err),

@@ -71,11 +71,11 @@ pub fn survey_sorts(graph: &Graph, options: &SurveyOptions) -> Result<Vec<SortRe
     let mut reports = Vec::new();
     for sort_id in graph.sorts() {
         let sort = graph.iri(sort_id).to_owned();
-        let subgraph = graph.typed_subgraph(&sort);
-        if subgraph.is_empty() {
+        // `from_sort`'s only error is `EmptySort`: a sort with no members.
+        let Ok(matrix) = PropertyStructureView::from_sort(graph, &sort, options.exclude_rdf_type)
+        else {
             continue;
-        }
-        let matrix = PropertyStructureView::from_graph(&subgraph, options.exclude_rdf_type);
+        };
         if matrix.subject_count() < options.min_subjects {
             continue;
         }

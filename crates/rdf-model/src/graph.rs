@@ -1,9 +1,23 @@
 //! The in-memory RDF graph: a set of triples plus an interning dictionary and
 //! the indexes needed to answer the structural queries the paper relies on
 //! (`S(D)`, `P(D)`, "s has property p in D", and the typed subgraph `D_t`).
+//!
+//! Index layout. Triples live once, in insertion order, in one vector; a
+//! hash set of them rejects duplicates. The subject index is a vector
+//! indexed by the subject's dense [`IriId`], holding the positions of its
+//! triples, so an entity is one indexed load away and [`Graph::entity`]
+//! lends its triples without copying them. The predicates are kept as a set
+//! (`P(D)`), and `rdf:type` triples feed a `sort → members` map.
+//!
+//! [`Graph::typed_subgraph`] copies `D_t` into a graph of its own. M(D) does
+//! not need the copy: `PropertyStructureView::from_sort` reads the members'
+//! rows from this graph. The copy stays for callers that need a whole
+//! `Graph` of one sort: the storage advisor (`strudel_storage::advisor`) and
+//! the storage layouts it builds.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::fxhash::FxHashSet;
 use crate::term::{Dictionary, IriId, Literal, Object};
 use crate::vocab::RDF_TYPE;
 
@@ -21,18 +35,21 @@ pub struct Triple {
 /// A finite set of RDF triples (the paper's RDF graph `D`) with its dictionary.
 ///
 /// The graph deduplicates triples on insertion and maintains:
-/// * a subject index (`subject → triple positions`) used to enumerate the
+/// * a subject index: for each subject, indexed by its dense [`IriId`], the
+///   positions of its triples in insertion order, used to enumerate the
 ///   entity of a subject,
-/// * a predicate index used to compute `P(D)` and per-property statistics,
+/// * the set of predicates, `P(D)`,
 /// * a type index (`sort → subjects`) used to extract the typed subgraph
 ///   `D_t = {(s,p,o) ∈ D | (s, rdf:type, t) ∈ D}`.
 #[derive(Clone, Default, Debug)]
 pub struct Graph {
     dictionary: Dictionary,
     triples: Vec<Triple>,
-    seen: HashSet<Triple>,
-    by_subject: BTreeMap<IriId, Vec<usize>>,
-    by_predicate: BTreeMap<IriId, Vec<usize>>,
+    seen: FxHashSet<Triple>,
+    /// Indexed by `IriId`; empty for an IRI that is not a subject.
+    by_subject: Vec<Vec<u32>>,
+    subject_count: usize,
+    predicates: BTreeSet<IriId>,
     by_type: BTreeMap<IriId, BTreeSet<IriId>>,
     rdf_type: Option<IriId>,
 }
@@ -89,15 +106,30 @@ impl Graph {
         if !self.seen.insert(triple) {
             return false;
         }
-        let pos = self.triples.len();
+        let pos = u32::try_from(self.triples.len()).expect("more than u32::MAX triples");
         self.triples.push(triple);
-        self.by_subject.entry(subject).or_default().push(pos);
-        self.by_predicate.entry(predicate).or_default().push(pos);
+        if subject.index() >= self.by_subject.len() {
+            self.by_subject.resize_with(subject.index() + 1, Vec::new);
+        }
+        let positions = &mut self.by_subject[subject.index()];
+        if positions.is_empty() {
+            self.subject_count += 1;
+        }
+        positions.push(pos);
+        self.predicates.insert(predicate);
 
-        let rdf_type = *self
-            .rdf_type
-            .get_or_insert_with(|| self.dictionary.intern_iri(RDF_TYPE));
-        if predicate == rdf_type {
+        // `rdf:type` is recognised the first time it is used as a predicate,
+        // not interned up front, so the dictionary holds the graph's own
+        // IRIs in the order the triples introduced them.
+        let is_type = match self.rdf_type {
+            Some(rdf_type) => predicate == rdf_type,
+            None if self.dictionary.iri(predicate) == RDF_TYPE => {
+                self.rdf_type = Some(predicate);
+                true
+            }
+            None => false,
+        };
+        if is_type {
             if let Object::Iri(sort) = object {
                 self.by_type.entry(sort).or_default().insert(subject);
             }
@@ -133,43 +165,44 @@ impl Graph {
 
     /// The set of subjects `S(D)` in id order.
     pub fn subjects(&self) -> Vec<IriId> {
-        self.by_subject.keys().copied().collect()
+        self.by_subject
+            .iter()
+            .enumerate()
+            .filter(|(_, positions)| !positions.is_empty())
+            .map(|(index, _)| IriId(index as u32))
+            .collect()
     }
 
     /// The set of properties `P(D)` in id order.
     pub fn properties(&self) -> Vec<IriId> {
-        self.by_predicate.keys().copied().collect()
+        self.predicates.iter().copied().collect()
     }
 
     /// Number of distinct subjects.
     pub fn subject_count(&self) -> usize {
-        self.by_subject.len()
+        self.subject_count
     }
 
     /// Number of distinct properties.
     pub fn property_count(&self) -> usize {
-        self.by_predicate.len()
+        self.predicates.len()
     }
 
     /// Returns whether `s` has property `p` in this graph (the paper's
     /// "s has property p in D": ∃o. (s,p,o) ∈ D).
     pub fn has_property(&self, subject: IriId, property: IriId) -> bool {
-        self.by_subject
-            .get(&subject)
-            .map(|positions| {
-                positions
-                    .iter()
-                    .any(|&pos| self.triples[pos].predicate == property)
-            })
-            .unwrap_or(false)
+        self.entity(subject)
+            .any(|triple| triple.predicate == property)
     }
 
-    /// All triples whose subject is `subject` (the *entity* of the subject).
-    pub fn entity(&self, subject: IriId) -> Vec<Triple> {
+    /// All triples whose subject is `subject` (the *entity* of the subject),
+    /// in insertion order.
+    pub fn entity(&self, subject: IriId) -> impl Iterator<Item = &Triple> + '_ {
         self.by_subject
-            .get(&subject)
-            .map(|positions| positions.iter().map(|&pos| self.triples[pos]).collect())
-            .unwrap_or_default()
+            .get(subject.index())
+            .into_iter()
+            .flatten()
+            .map(|&pos| &self.triples[pos as usize])
     }
 
     /// The sorts (IRIs `t`) for which some `(s, rdf:type, t)` triple exists.
@@ -196,7 +229,9 @@ impl Graph {
     /// Extracts the typed subgraph `D_t`: all triples whose subject is
     /// declared (via `rdf:type`) to be of sort `sort`. The returned graph
     /// shares no storage with `self` but re-interns the same strings, so ids
-    /// are *not* comparable across the two graphs.
+    /// are *not* comparable across the two graphs. It visits the members in
+    /// id order and each member's triples in insertion order, so the copy's
+    /// ids follow the order in which that walk first meets each IRI.
     pub fn typed_subgraph(&self, sort: &str) -> Graph {
         let mut result = Graph::new();
         let Some(sort_id) = self.dictionary.iri_id(sort) else {
@@ -227,20 +262,6 @@ impl Graph {
             }
         }
         result
-    }
-
-    /// Per-property subject counts: for each property `p`, the number of
-    /// distinct subjects that have `p`.
-    pub fn property_subject_counts(&self) -> BTreeMap<IriId, usize> {
-        let mut counts = BTreeMap::new();
-        for (&p, positions) in &self.by_predicate {
-            let distinct: BTreeSet<IriId> = positions
-                .iter()
-                .map(|&pos| self.triples[pos].subject)
-                .collect();
-            counts.insert(p, distinct.len());
-        }
-        counts
     }
 }
 
@@ -319,17 +340,6 @@ mod tests {
     fn entity_returns_all_triples_of_subject() {
         let g = person_graph();
         let alice = g.dictionary().iri_id("http://ex/alice").unwrap();
-        assert_eq!(g.entity(alice).len(), 3);
-    }
-
-    #[test]
-    fn property_subject_counts_are_distinct_subject_counts() {
-        let mut g = person_graph();
-        // Add a second name triple for alice; the count for `name` must not
-        // double-count her.
-        g.insert_literal_triple("http://ex/alice", "http://ex/name", Literal::simple("Ali"));
-        let name = g.dictionary().iri_id("http://ex/name").unwrap();
-        let counts = g.property_subject_counts();
-        assert_eq!(counts[&name], 2);
+        assert_eq!(g.entity(alice).count(), 3);
     }
 }

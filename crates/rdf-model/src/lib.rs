@@ -39,6 +39,7 @@
 
 pub mod bitset;
 pub mod error;
+mod fxhash;
 pub mod graph;
 pub mod matrix;
 pub mod ntriples;

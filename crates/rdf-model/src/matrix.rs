@@ -3,12 +3,26 @@
 //! `M(D)` is an `|S(D)| × |P(D)|` 0/1 matrix: `M[s][p] = 1` iff subject `s`
 //! has property `p` in `D`. It deliberately discards object values — the
 //! structuredness framework only looks at which properties are *set*.
+//!
+//! [`PropertyStructureView::from_sort`] builds the M(D) of a sort in one walk
+//! over the parent graph, without copying the typed subgraph. Its columns are
+//! the predicates of the members' triples (minus `rdf:type` when asked),
+//! sorted by IRI. Its rows follow one rule: walk the members in id order,
+//! and each member's triples in insertion order; a member takes the next row
+//! the first time the walk meets it, as a subject, a predicate or an IRI
+//! object. That is the order in which [`Graph::typed_subgraph`] interns the
+//! members, and so the order [`PropertyStructureView::from_graph`] gives the
+//! copy's rows; it is not the members' id order. The order matters beyond
+//! the matrix: it decides each signature's example subjects, the order of
+//! an annotated graph's type triples and the row order of property tables.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bitset::BitSet;
 use crate::error::ModelError;
+use crate::fxhash::FxHashMap;
 use crate::graph::Graph;
+use crate::term::{IriId, Object};
 use crate::vocab::RDF_TYPE;
 
 /// The property–structure view of an RDF graph: a dense 0/1 matrix with
@@ -25,62 +39,113 @@ pub struct PropertyStructureView {
 }
 
 impl PropertyStructureView {
-    /// Builds the view from a graph.
+    /// Builds the view from a graph: one row per subject, in id order.
     ///
     /// When `exclude_rdf_type` is true the `rdf:type` property is dropped
     /// from the columns, matching the paper's dataset descriptions
     /// ("8 properties, excluding the type property").
     pub fn from_graph(graph: &Graph, exclude_rdf_type: bool) -> Self {
-        let mut property_labels: Vec<String> = graph
-            .properties()
-            .into_iter()
-            .map(|p| graph.iri(p).to_owned())
-            .filter(|p| !(exclude_rdf_type && p == RDF_TYPE))
-            .collect();
-        property_labels.sort();
-        let property_index: BTreeMap<String, usize> = property_labels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i))
-            .collect();
-
-        let subject_ids = graph.subjects();
-        let mut subjects = Vec::with_capacity(subject_ids.len());
-        let mut rows = Vec::with_capacity(subject_ids.len());
-        for subject in subject_ids {
-            let mut row = BitSet::new(property_labels.len());
-            for triple in graph.entity(subject) {
-                let prop = graph.iri(triple.predicate);
-                if let Some(&col) = property_index.get(prop) {
-                    row.insert(col);
-                }
-            }
-            // Subjects that only appear with excluded properties (e.g. only an
-            // rdf:type triple) still count as subjects of the graph; their row
-            // is all-zero, as in the paper's matrix definition restricted to
-            // the retained columns.
-            subjects.push(graph.iri(subject).to_owned());
-            rows.push(row);
-        }
-        PropertyStructureView {
-            properties: property_labels,
-            property_index,
-            subjects,
-            rows,
-        }
+        Self::from_subjects(
+            graph,
+            graph.subjects(),
+            graph.properties(),
+            exclude_rdf_type,
+        )
     }
 
-    /// Builds the view of the typed subgraph `D_t` for the given sort IRI.
+    /// Builds the view of the typed subgraph `D_t` for the given sort IRI,
+    /// straight from `graph`: the rows are the sort's members and the
+    /// columns the predicates of their triples.
+    ///
+    /// Rows come in the order [`Graph::typed_subgraph`] followed by
+    /// [`Self::from_graph`] gives them (see the module docs), so both paths
+    /// build the same matrix.
     pub fn from_sort(
         graph: &Graph,
         sort: &str,
         exclude_rdf_type: bool,
     ) -> Result<Self, ModelError> {
-        let subgraph = graph.typed_subgraph(sort);
-        if subgraph.is_empty() {
+        let members = graph.subjects_of_sort_named(sort);
+        if members.is_empty() {
             return Err(ModelError::EmptySort(sort.to_owned()));
         }
-        Ok(Self::from_graph(&subgraph, exclude_rdf_type))
+        let mut met = vec![false; members.len()];
+        let mut subjects = Vec::with_capacity(members.len());
+        let mut meet = |iri: IriId| {
+            if let Ok(at) = members.binary_search(&iri) {
+                if !met[at] {
+                    met[at] = true;
+                    subjects.push(iri);
+                }
+            }
+        };
+        let mut predicates = BTreeSet::new();
+        for &member in &members {
+            meet(member);
+            for triple in graph.entity(member) {
+                if predicates.insert(triple.predicate) {
+                    meet(triple.predicate);
+                }
+                if let Object::Iri(object) = triple.object {
+                    meet(object);
+                }
+            }
+        }
+        Ok(Self::from_subjects(
+            graph,
+            subjects,
+            predicates,
+            exclude_rdf_type,
+        ))
+    }
+
+    /// The row builder both constructors share: one row per subject, in the
+    /// given order, over the given predicates sorted by IRI.
+    fn from_subjects(
+        graph: &Graph,
+        subjects: Vec<IriId>,
+        predicates: impl IntoIterator<Item = IriId>,
+        exclude_rdf_type: bool,
+    ) -> Self {
+        let mut columns: Vec<(&str, IriId)> = predicates
+            .into_iter()
+            .map(|p| (graph.iri(p), p))
+            .filter(|&(iri, _)| !(exclude_rdf_type && iri == RDF_TYPE))
+            .collect();
+        columns.sort_unstable();
+        let column_of: FxHashMap<IriId, usize> = columns
+            .iter()
+            .enumerate()
+            .map(|(col, &(_, p))| (p, col))
+            .collect();
+        // Subjects that only appear with excluded properties (e.g. only an
+        // rdf:type triple) still count as subjects of the graph; their row
+        // is all-zero, as in the paper's matrix definition restricted to the
+        // retained columns.
+        let rows = subjects
+            .iter()
+            .map(|&subject| {
+                let mut row = BitSet::new(columns.len());
+                for triple in graph.entity(subject) {
+                    if let Some(&col) = column_of.get(&triple.predicate) {
+                        row.insert(col);
+                    }
+                }
+                row
+            })
+            .collect();
+        let properties: Vec<String> = columns.iter().map(|&(iri, _)| iri.to_owned()).collect();
+        let property_index = properties
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.clone(), i))
+            .collect();
+        PropertyStructureView {
+            properties,
+            property_index,
+            subjects: subjects.iter().map(|&s| graph.iri(s).to_owned()).collect(),
+            rows,
+        }
     }
 
     /// Builds a view directly from labelled rows. Intended for synthetic data

@@ -7,9 +7,17 @@
 //! Working with owned strings everywhere would make the property-structure
 //! view needlessly heavy, so a [`Dictionary`] interns every IRI and literal
 //! once and hands out small copyable ids ([`IriId`], [`LiteralId`]).
+//!
+//! Each distinct term is stored once: the id vector and the lookup map share
+//! one `Arc<str>` per IRI and one `Arc<Literal>` per literal. Interning a
+//! term the dictionary already holds is one map lookup by `&str` (or
+//! `&Literal`) and allocates nothing, which is what lets the N-Triples parser
+//! hand it slices of the input line.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
+
+use crate::fxhash::FxHashMap;
 
 /// An interned IRI (element of the set **U** in the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,10 +120,10 @@ pub enum Object {
 /// which lets downstream structures use them directly as vector indexes.
 #[derive(Clone, Default, Debug)]
 pub struct Dictionary {
-    iris: Vec<String>,
-    iri_ids: HashMap<String, IriId>,
-    literals: Vec<Literal>,
-    literal_ids: HashMap<Literal, LiteralId>,
+    iris: Vec<Arc<str>>,
+    iri_ids: FxHashMap<Arc<str>, IriId>,
+    literals: Vec<Arc<Literal>>,
+    literal_ids: FxHashMap<Arc<Literal>, LiteralId>,
 }
 
 impl Dictionary {
@@ -130,8 +138,9 @@ impl Dictionary {
             return id;
         }
         let id = IriId(u32::try_from(self.iris.len()).expect("more than u32::MAX IRIs interned"));
-        self.iris.push(iri.to_owned());
-        self.iri_ids.insert(iri.to_owned(), id);
+        let iri: Arc<str> = Arc::from(iri);
+        self.iris.push(Arc::clone(&iri));
+        self.iri_ids.insert(iri, id);
         id
     }
 
@@ -143,7 +152,8 @@ impl Dictionary {
         let id = LiteralId(
             u32::try_from(self.literals.len()).expect("more than u32::MAX literals interned"),
         );
-        self.literals.push(literal.clone());
+        let literal = Arc::new(literal);
+        self.literals.push(Arc::clone(&literal));
         self.literal_ids.insert(literal, id);
         id
     }
@@ -178,7 +188,7 @@ impl Dictionary {
         self.iris
             .iter()
             .enumerate()
-            .map(|(i, s)| (IriId(i as u32), s.as_str()))
+            .map(|(i, s)| (IriId(i as u32), &**s))
     }
 }
 

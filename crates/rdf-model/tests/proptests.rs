@@ -167,3 +167,75 @@ fn matrix_agrees_with_graph() {
         }
     }
 }
+
+/// `from_sort` walks the parent graph, and its matrix must equal the one
+/// built from the copied typed subgraph: the same columns, the same rows in
+/// the same order. Members of both sorts also appear as IRI objects and as
+/// predicates, so the row order is not the members' id order in many cases.
+#[test]
+fn from_sort_matches_the_copy_path() {
+    const SEED: u64 = 0x50f7;
+    const SORTS: [&str; 2] = ["http://example.org/A", "http://example.org/B"];
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut reordered = 0;
+    for case in 0..512 {
+        let entities: Vec<String> = (0..rng.gen_range(2..12usize))
+            .map(|i| format!("http://example.org/e{i}"))
+            .collect();
+        let pick_entity = |rng: &mut StdRng| entities[rng.gen_range(0..entities.len())].clone();
+        let mut graph = Graph::new();
+        for _ in 0..rng.gen_range(1..40usize) {
+            let subject = pick_entity(&mut rng);
+            match rng.gen_range(0..6usize) {
+                0 | 1 => {
+                    graph.insert_type(&subject, pick(&mut rng, &SORTS));
+                }
+                2 => {
+                    let predicate = pick_entity(&mut rng);
+                    graph.insert_iri_triple(&subject, &predicate, &pick_entity(&mut rng));
+                }
+                3 => {
+                    let predicate = format!("http://example.org/p{}", rng.gen_range(0..4usize));
+                    graph.insert_iri_triple(&subject, &predicate, &pick_entity(&mut rng));
+                }
+                _ => {
+                    let predicate = format!("http://example.org/p{}", rng.gen_range(0..4usize));
+                    graph.insert_literal_triple(&subject, &predicate, Literal::simple("v"));
+                }
+            }
+        }
+        if rng.gen_bool(0.1) {
+            graph.insert_type(RDF_TYPE, pick(&mut rng, &SORTS));
+        }
+        for sort in SORTS {
+            for exclude_rdf_type in [true, false] {
+                let context = format!("seed {SEED:#x} case {case} sort {sort} {exclude_rdf_type}");
+                let walked = PropertyStructureView::from_sort(&graph, sort, exclude_rdf_type);
+                let copied = graph.typed_subgraph(sort);
+                if copied.is_empty() {
+                    assert!(matches!(walked, Err(ModelError::EmptySort(_))), "{context}");
+                    continue;
+                }
+                let walked = walked.unwrap_or_else(|err| panic!("{context}: {err}"));
+                let copied = PropertyStructureView::from_graph(&copied, exclude_rdf_type);
+                assert_eq!(walked.properties(), copied.properties(), "{context}");
+                assert_eq!(walked.subjects(), copied.subjects(), "{context}");
+                for row in 0..walked.subject_count() {
+                    assert_eq!(walked.row(row), copied.row(row), "{context} row {row}");
+                }
+                let by_id: Vec<&str> = graph
+                    .subjects_of_sort_named(sort)
+                    .into_iter()
+                    .map(|id| graph.iri(id))
+                    .collect();
+                if walked.subjects() != by_id.as_slice() {
+                    reordered += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        reordered > 0,
+        "seed {SEED:#x}: no case put the rows out of id order"
+    );
+}

@@ -610,7 +610,8 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     // a server restarted immediately after shutdown rebinds its port even
     // while the previous instance's connections sit in TIME_WAIT (rapid
     // test restarts depend on this; see the service tests).
-    let listener = TcpListener::bind(&config.addr)?;
+    let listener =
+        TcpListener::bind(&config.addr).map_err(naming(format!("cannot bind {}", config.addr)))?;
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
@@ -666,7 +667,8 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
                 None => path.clone(),
             };
             let (mut store, entries) =
-                SegmentStore::open(path, config.compact_dead_threshold, config.fsync)?;
+                SegmentStore::open(&path, config.compact_dead_threshold, config.fsync)
+                    .map_err(naming(format!("cannot open segment {}", path.display())))?;
             for (key, text, tenant) in entries {
                 if let Some(victim) = cache.insert_for(&tenant, key, Arc::new(text)) {
                     // The segment outgrew this instance's capacity: keep
@@ -1392,9 +1394,6 @@ impl EventLoop {
         // be sitting in the accept backlog.
         let mut progress = true;
         loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
-                self.begin_stop();
-            }
             self.maybe_rearm_listener();
             // After a round that did work, poll without blocking (there
             // may be more ready already); otherwise sleep until an event,
@@ -1411,6 +1410,13 @@ impl EventLoop {
             if let Err(err) = self.poller.wait(&mut events, timeout) {
                 eprintln!("strudel-server: poller wait failed: {err}");
                 thread::sleep(poller::MAX_PARK); // do not spin on a broken poller
+            }
+            // Read the stop flag after the wait, not before it: the wake-up
+            // that `ServerHandle::shutdown` sends must enter a round that is
+            // already stopping, or that round ends without checking
+            // `drained` and the next one sleeps out the whole drain grace.
+            if self.shared.stop.load(Ordering::SeqCst) {
+                self.begin_stop();
             }
             progress = false;
             for event in &events {
@@ -2820,6 +2826,12 @@ impl RefinementEngine for Tally {
         self.stats.set(total);
         Ok(outcome)
     }
+}
+
+/// Prefixes a start-up I/O error with what failed, keeping its kind, so a
+/// caller can tell a busy address from a missing segment directory.
+fn naming(what: String) -> impl FnOnce(std::io::Error) -> std::io::Error {
+    move |err| std::io::Error::new(err.kind(), format!("{what}: {err}"))
 }
 
 /// Serves until a `shutdown` request arrives (the `strudel serve` entry

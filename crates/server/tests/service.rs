@@ -596,21 +596,11 @@ fn a_slow_reader_is_flushed_as_it_drains_without_losing_lines() {
 #[cfg(target_os = "linux")]
 #[test]
 fn an_idle_server_blocks_instead_of_sweeping() {
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
     const CONNECTIONS: u64 = 16;
 
     let handle = start_test_server(1, 8);
-    let silent: Vec<std::net::TcpStream> = (0..CONNECTIONS)
-        .map(|_| std::net::TcpStream::connect(handle.addr()).expect("connect"))
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.status().open_connections < CONNECTIONS {
-        assert!(
-            Instant::now() < deadline,
-            "the server never accepted all 16"
-        );
-        thread::sleep(Duration::from_millis(10));
-    }
+    let silent = open_silent_connections(&handle, CONNECTIONS);
 
     let before = handle.status().poller.waits;
     thread::sleep(Duration::from_millis(500));
@@ -623,6 +613,43 @@ fn an_idle_server_blocks_instead_of_sweeping() {
     drop(silent);
     handle.shutdown();
     handle.wait();
+}
+
+/// Opens `count` connections that never send a byte, and waits until the
+/// server has accepted them all.
+fn open_silent_connections(handle: &ServerHandle, count: u64) -> Vec<std::net::TcpStream> {
+    use std::time::{Duration, Instant};
+    let silent = (0..count)
+        .map(|_| std::net::TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.status().open_connections < count {
+        assert!(
+            Instant::now() < deadline,
+            "the server never accepted all {count}"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+    silent
+}
+
+#[test]
+fn shutdown_with_silent_connections_open_returns_promptly() {
+    use std::time::{Duration, Instant};
+
+    let handle = start_test_server(1, 8);
+    let _silent = open_silent_connections(&handle, 4);
+
+    // Nothing is in flight, so the drain holds at once: the stop must not
+    // wait out the drain grace.
+    let began = Instant::now();
+    handle.shutdown();
+    handle.wait();
+    let took = began.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown with idle connections open took {took:?}"
+    );
 }
 
 #[test]
