@@ -11,6 +11,18 @@
 //!    as long as the merged sort still meets the threshold, so the heuristic
 //!    also produces *few* sorts (which is what the lowest-k sweeps need).
 //!
+//! Every phase scores candidates: a placement, a move (its source and its
+//! target sort) or a merge. For a builtin σ each sort keeps its running
+//! [`ColumnCounts`] (subjects, subjects per column, and the subjects with
+//! both columns of a dependency rule), and a candidate is scored by copying
+//! the sort's counts into a reused scratch buffer, adding or taking away
+//! one signature set's counts (or the other sort's), and applying the
+//! closed form of `strudel_rules::builtin`: no sub-view is built and no
+//! allocation made. The counts are exact integers, so the scores, and
+//! every decision, are those of evaluating σ on the candidate's sub-view.
+//! A custom rule has no closed form, so it is scored on the candidate's
+//! sub-view through the generic evaluator.
+//!
 //! The engine cannot prove infeasibility — when the final minimum is below
 //! the threshold it answers [`RefineOutcome::Unknown`] — but it scales far
 //! beyond the exact engines and serves as the fast path of the hybrid engine
@@ -19,71 +31,163 @@
 use std::time::{Duration, Instant};
 
 use strudel_rdf::signature::SignatureView;
-use strudel_rules::prelude::Ratio;
+use strudel_rules::builtin::{ClosedForm, ColumnCounts};
+use strudel_rules::eval::Evaluator;
+use strudel_rules::prelude::{Ratio, Rule};
 
 use crate::error::RefineError;
 use crate::refinement::SortRefinement;
-use crate::sigma::SigmaSpec;
+use crate::sigma::{ResolvedSpec, SigmaSpec};
 
 use super::{RefineOutcome, RefinementEngine};
 
-/// Configuration of the greedy engine.
-#[derive(Clone, Debug)]
-pub struct GreedyConfig {
-    /// Number of local-search improvement passes over all signatures.
-    pub improvement_passes: usize,
-    /// Whether to run the sort-merging consolidation phase.
-    pub consolidate: bool,
-    /// Wall-clock budget. The heuristic checks the deadline between
-    /// placements/moves: construction interrupted mid-way answers
-    /// [`RefineOutcome::Unknown`], while a deadline during the improvement
-    /// phases just stops improving and returns the current partition.
-    pub time_limit: Option<Duration>,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        GreedyConfig {
-            improvement_passes: 3,
-            consolidate: true,
-            time_limit: None,
-        }
-    }
-}
+/// Local-search passes over all signatures.
+const IMPROVEMENT_PASSES: usize = 3;
 
 /// The greedy/local-search engine.
 #[derive(Clone, Debug, Default)]
 pub struct GreedyEngine {
-    config: GreedyConfig,
+    /// Wall-clock budget. The heuristic checks the deadline between
+    /// placements/moves: construction interrupted mid-way answers
+    /// [`RefineOutcome::Unknown`], while a deadline during the improvement
+    /// phases just stops improving and returns the current partition.
+    time_limit: Option<Duration>,
 }
 
-/// Working state of a candidate partition: per-sort member lists and cached σ.
+/// A change to one sort whose σ the partition scores.
+#[derive(Clone, Copy)]
+enum Change {
+    /// The sort gains a signature set.
+    Add(usize),
+    /// The sort loses one of its signature sets.
+    Remove(usize),
+    /// The sort absorbs every signature set of another sort.
+    Merge(usize),
+}
+
+/// How the partition scores a sort.
+enum Scorer<'a> {
+    /// A closed form: every sort keeps its running counts, and a change is
+    /// scored by copying the sort's counts into `scratch` and adding or
+    /// taking away a signature set's counts (or the other sort's).
+    Counts {
+        form: ClosedForm,
+        sorts: Vec<ColumnCounts>,
+        scratch: ColumnCounts,
+    },
+    /// A custom rule has no closed form: a change is scored on the changed
+    /// sort's sub-view through the generic evaluator.
+    SubView(&'a Rule),
+}
+
+/// Working state of a candidate partition: per-sort members, each
+/// signature's sort, and each sort's cached σ.
 struct Partition<'a> {
     view: &'a SignatureView,
-    spec: &'a SigmaSpec,
+    scorer: Scorer<'a>,
     members: Vec<Vec<usize>>,
+    /// The sort of every placed signature: the assignment, once all are.
+    sort_of: Vec<usize>,
     sigmas: Vec<Option<Ratio>>,
 }
 
 impl<'a> Partition<'a> {
     fn new(view: &'a SignatureView, spec: &'a SigmaSpec, k: usize) -> Self {
+        let scorer = match spec.resolve(view) {
+            ResolvedSpec::Closed(form) => {
+                let empty = form.empty_counts(view.property_count());
+                Scorer::Counts {
+                    form,
+                    sorts: vec![empty.clone(); k],
+                    scratch: empty,
+                }
+            }
+            ResolvedSpec::Custom(rule) => Scorer::SubView(rule),
+        };
         Partition {
             view,
-            spec,
+            scorer,
             members: vec![Vec::new(); k],
+            sort_of: vec![0; view.signature_count()],
             sigmas: vec![None; k],
         }
     }
 
-    fn sigma_of(&self, members: &[usize]) -> Result<Ratio, RefineError> {
-        Ok(self.spec.evaluate(&self.view.subset(members))?)
+    /// σ `sort` would have after `change`; the partition stays as it is.
+    fn sigma_after(&mut self, sort: usize, change: Change) -> Result<Ratio, RefineError> {
+        let entries = self.view.entries();
+        match &mut self.scorer {
+            Scorer::Counts {
+                form,
+                sorts,
+                scratch,
+            } => {
+                scratch.clone_from(&sorts[sort]);
+                match change {
+                    Change::Add(sig) => scratch.add(&entries[sig]),
+                    Change::Remove(sig) => scratch.remove(&entries[sig]),
+                    Change::Merge(other) => scratch.merge(&sorts[other]),
+                }
+                Ok(form.sigma(scratch))
+            }
+            Scorer::SubView(rule) => {
+                let mut members = self.members[sort].clone();
+                match change {
+                    Change::Add(sig) => members.push(sig),
+                    Change::Remove(sig) => members.retain(|&s| s != sig),
+                    Change::Merge(other) => members.extend_from_slice(&self.members[other]),
+                }
+                Ok(Evaluator::new(&self.view.subset(&members)).sigma(rule)?)
+            }
+        }
+    }
+
+    /// Applies `change` to `sort` and refreshes the σ of every sort it
+    /// touches.
+    fn apply(&mut self, sort: usize, change: Change) -> Result<(), RefineError> {
+        let entries = self.view.entries();
+        match change {
+            Change::Add(sig) => {
+                self.members[sort].push(sig);
+                self.sort_of[sig] = sort;
+            }
+            Change::Remove(sig) => self.members[sort].retain(|&s| s != sig),
+            Change::Merge(other) => {
+                let moved = std::mem::take(&mut self.members[other]);
+                for &sig in &moved {
+                    self.sort_of[sig] = sort;
+                }
+                self.members[sort].extend(moved);
+            }
+        }
+        if let Scorer::Counts { sorts, scratch, .. } = &mut self.scorer {
+            match change {
+                Change::Add(sig) => sorts[sort].add(&entries[sig]),
+                Change::Remove(sig) => sorts[sort].remove(&entries[sig]),
+                Change::Merge(other) => {
+                    scratch.clone_from(&sorts[other]);
+                    sorts[sort].merge(scratch);
+                    sorts[other].clear();
+                }
+            }
+        }
+        self.recompute(sort)?;
+        if let Change::Merge(other) = change {
+            self.recompute(other)?;
+        }
+        Ok(())
     }
 
     fn recompute(&mut self, sort: usize) -> Result<(), RefineError> {
         self.sigmas[sort] = if self.members[sort].is_empty() {
             None
         } else {
-            Some(self.sigma_of(&self.members[sort])?)
+            Some(match &self.scorer {
+                Scorer::Counts { form, sorts, .. } => form.sigma(&sorts[sort]),
+                Scorer::SubView(rule) => {
+                    Evaluator::new(&self.view.subset(&self.members[sort])).sigma(rule)?
+                }
+            })
         };
         Ok(())
     }
@@ -98,66 +202,29 @@ impl<'a> Partition<'a> {
             .unwrap_or(Ratio::ONE)
     }
 
-    /// σ the sort would have with one extra signature.
-    fn sigma_with(&self, sort: usize, extra: usize) -> Result<Ratio, RefineError> {
-        let mut members = self.members[sort].clone();
-        members.push(extra);
-        self.sigma_of(&members)
-    }
-
-    /// Quality of the partition if `extra` were added to `sort` (only that
-    /// sort's σ changes).
-    fn quality_with(&self, sort: usize, extra: usize) -> Result<Ratio, RefineError> {
-        let candidate_sigma = self.sigma_with(sort, extra)?;
-        let min_other = self
-            .sigmas
+    /// The minimum σ over the non-empty sorts other than `skip`.
+    fn quality_without(&self, skip: [usize; 2]) -> Ratio {
+        self.sigmas
             .iter()
             .enumerate()
-            .filter(|&(idx, _)| idx != sort)
+            .filter(|(idx, _)| !skip.contains(idx))
             .filter_map(|(_, sigma)| *sigma)
             .min()
-            .unwrap_or(Ratio::ONE);
-        Ok(candidate_sigma.min(min_other))
-    }
-
-    fn place(&mut self, sort: usize, signature: usize) -> Result<(), RefineError> {
-        self.members[sort].push(signature);
-        self.recompute(sort)
-    }
-
-    fn assignment(&self) -> Vec<usize> {
-        let mut assignment = vec![0usize; self.view.signature_count()];
-        for (sort, members) in self.members.iter().enumerate() {
-            for &sig in members {
-                assignment[sig] = sort;
-            }
-        }
-        assignment
+            .unwrap_or(Ratio::ONE)
     }
 }
 
 impl GreedyEngine {
-    /// Creates an engine with default configuration.
+    /// Creates an engine with no time limit.
     pub fn new() -> Self {
         GreedyEngine::default()
     }
 
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(config: GreedyConfig) -> Self {
-        GreedyEngine { config }
-    }
-
     /// Creates an engine with a wall-clock budget.
     pub fn with_time_limit(limit: Duration) -> Self {
-        GreedyEngine::with_config(GreedyConfig {
+        GreedyEngine {
             time_limit: Some(limit),
-            ..GreedyConfig::default()
-        })
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &GreedyConfig {
-        &self.config
+        }
     }
 }
 
@@ -176,7 +243,7 @@ impl RefinementEngine for GreedyEngine {
         let k = crate::encode::validate_inputs(view, theta, k)?;
         let signatures = view.signature_count();
         let mut partition = Partition::new(view, spec, k);
-        let deadline = self.config.time_limit.map(|limit| Instant::now() + limit);
+        let deadline = self.time_limit.map(|limit| Instant::now() + limit);
         let expired = || deadline.is_some_and(|deadline| Instant::now() >= deadline);
 
         // Phase 1 — greedy construction, largest signature sets first (the
@@ -195,60 +262,45 @@ impl RefinementEngine for GreedyEngine {
                     break;
                 }
                 saw_empty_sort |= is_empty;
-                let quality = partition.quality_with(candidate, sig)?;
+                // Only the candidate sort's σ changes.
+                let quality = partition
+                    .sigma_after(candidate, Change::Add(sig))?
+                    .min(partition.quality_without([candidate; 2]));
                 if best.map(|(q, _)| quality > q).unwrap_or(true) {
                     best = Some((quality, candidate));
                 }
             }
             let (_, chosen) = best.expect("k ≥ 1 guarantees a candidate");
-            partition.place(chosen, sig)?;
+            partition.apply(chosen, Change::Add(sig))?;
         }
 
         // Phase 2 — local search: move single signatures while the minimum
         // per-sort σ improves.
-        'improve: for _ in 0..self.config.improvement_passes {
+        'improve: for _ in 0..IMPROVEMENT_PASSES {
             let mut improved = false;
             for sig in 0..signatures {
                 if expired() {
                     break 'improve;
                 }
-                let assignment = partition.assignment();
-                let current_sort = assignment[sig];
+                let current_sort = partition.sort_of[sig];
                 if partition.members[current_sort].len() == 1 {
                     continue;
                 }
                 let current_quality = partition.quality();
+                // Evaluate each move: remove from current (which keeps at
+                // least one signature), add to candidate.
+                let source_sigma = partition.sigma_after(current_sort, Change::Remove(sig))?;
                 for candidate in 0..k {
                     if candidate == current_sort {
                         continue;
                     }
-                    // Evaluate the move: remove from current, add to candidate.
-                    let mut source = partition.members[current_sort].clone();
-                    source.retain(|&s| s != sig);
-                    let source_sigma = if source.is_empty() {
-                        None
-                    } else {
-                        Some(partition.sigma_of(&source)?)
-                    };
-                    let target_sigma = partition.sigma_with(candidate, sig)?;
-                    let min_other = partition
-                        .sigmas
-                        .iter()
-                        .enumerate()
-                        .filter(|&(idx, _)| idx != current_sort && idx != candidate)
-                        .filter_map(|(_, sigma)| *sigma)
-                        .min()
-                        .unwrap_or(Ratio::ONE);
-                    let moved_quality = [Some(target_sigma), source_sigma, Some(min_other)]
-                        .into_iter()
-                        .flatten()
-                        .min()
-                        .unwrap_or(Ratio::ONE);
+                    let target_sigma = partition.sigma_after(candidate, Change::Add(sig))?;
+                    let moved_quality = target_sigma
+                        .min(source_sigma)
+                        .min(partition.quality_without([current_sort, candidate]));
                     if moved_quality > current_quality {
-                        partition.members[current_sort].retain(|&s| s != sig);
-                        partition.members[candidate].push(sig);
-                        partition.recompute(current_sort)?;
-                        partition.recompute(candidate)?;
+                        partition.apply(current_sort, Change::Remove(sig))?;
+                        partition.apply(candidate, Change::Add(sig))?;
                         improved = true;
                         break;
                     }
@@ -261,7 +313,7 @@ impl RefinementEngine for GreedyEngine {
 
         // Phase 3 — consolidation: merge whole sorts while the merge keeps
         // the threshold, so the result also uses few sorts.
-        if self.config.consolidate && partition.quality() >= theta {
+        if partition.quality() >= theta {
             loop {
                 if expired() {
                     break;
@@ -272,28 +324,20 @@ impl RefinementEngine for GreedyEngine {
                 let mut best_merge: Option<(Ratio, usize, usize)> = None;
                 for (a_pos, &a) in occupied.iter().enumerate() {
                     for &b in occupied.iter().skip(a_pos + 1) {
-                        let mut merged = partition.members[a].clone();
-                        merged.extend_from_slice(&partition.members[b]);
-                        let sigma = partition.sigma_of(&merged)?;
+                        let sigma = partition.sigma_after(a, Change::Merge(b))?;
                         if sigma >= theta && best_merge.map(|(q, _, _)| sigma > q).unwrap_or(true) {
                             best_merge = Some((sigma, a, b));
                         }
                     }
                 }
                 match best_merge {
-                    Some((_, a, b)) => {
-                        let moved = std::mem::take(&mut partition.members[b]);
-                        partition.members[a].extend(moved);
-                        partition.recompute(a)?;
-                        partition.recompute(b)?;
-                    }
+                    Some((_, a, b)) => partition.apply(a, Change::Merge(b))?,
                     None => break,
                 }
             }
         }
 
-        let refinement =
-            SortRefinement::from_assignment(view, spec, theta, &partition.assignment(), k)?;
+        let refinement = SortRefinement::from_assignment(view, spec, theta, &partition.sort_of, k)?;
         if refinement.min_sigma() >= theta {
             Ok(RefineOutcome::Refinement(refinement))
         } else {
@@ -406,16 +450,5 @@ mod tests {
             refinement.k()
         );
         assert!(refinement.min_sigma() >= theta);
-
-        // Without consolidation the heuristic keeps more sorts.
-        let no_merge = GreedyEngine::with_config(GreedyConfig {
-            consolidate: false,
-            ..GreedyConfig::default()
-        });
-        let outcome = no_merge
-            .refine(&view, &SigmaSpec::Coverage, view.signature_count(), theta)
-            .unwrap();
-        let unmerged = outcome.refinement().expect("still feasible");
-        assert!(unmerged.k() >= refinement.k());
     }
 }

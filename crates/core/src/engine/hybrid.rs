@@ -17,7 +17,7 @@ use strudel_rules::prelude::Ratio;
 use crate::error::RefineError;
 use crate::sigma::SigmaSpec;
 
-use super::{GreedyConfig, GreedyEngine, IlpEngine, RefineOutcome, RefinementEngine, SolveStats};
+use super::{GreedyEngine, IlpEngine, RefineOutcome, RefinementEngine, SolveStats};
 
 /// Greedy-then-ILP engine.
 #[derive(Clone, Debug, Default)]
@@ -90,11 +90,7 @@ impl RefinementEngine for HybridEngine {
         };
 
         let start = Instant::now();
-        let greedy = GreedyEngine::with_config(GreedyConfig {
-            time_limit: Some(budget),
-            ..self.greedy.config().clone()
-        });
-        match greedy.refine(view, spec, k, theta)? {
+        match GreedyEngine::with_time_limit(budget).refine(view, spec, k, theta)? {
             RefineOutcome::Refinement(refinement) => {
                 Ok((RefineOutcome::Refinement(refinement), SolveStats::default()))
             }

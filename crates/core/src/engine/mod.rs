@@ -17,7 +17,7 @@ mod hybrid;
 mod ilp;
 
 pub use exhaustive::{ExhaustiveConfig, ExhaustiveEngine};
-pub use greedy::{GreedyConfig, GreedyEngine};
+pub use greedy::GreedyEngine;
 pub use hybrid::HybridEngine;
 pub use ilp::{hint_from_refinement, signature_identity, IlpEngine, RefinementHint};
 // Re-exported so downstream crates (the server reads solve statistics)

@@ -37,7 +37,9 @@ pub struct SortRefinement {
 
 impl SortRefinement {
     /// Builds a refinement from an assignment vector (`assignment[sig] = sort
-    /// index`), evaluating σ on every non-empty implicit sort.
+    /// index`), evaluating σ on every non-empty implicit sort: the spec is
+    /// resolved against the view once, and a closed form reads each sort's
+    /// summed counts.
     pub fn from_assignment(
         view: &SignatureView,
         spec: &SigmaSpec,
@@ -55,11 +57,14 @@ impl SortRefinement {
             assert!(sort < k, "assignment uses sort index {sort} ≥ k = {k}");
             groups[sort].push(sig);
         }
+        let resolved = spec.resolve(view);
         let mut sorts = Vec::new();
         for signatures in groups.into_iter().filter(|g| !g.is_empty()) {
-            let sub = view.subset(&signatures);
-            let sigma = spec.evaluate(&sub)?;
-            let subjects = sub.subject_count();
+            let sigma = resolved.sigma_of(view, &signatures)?;
+            let subjects = signatures
+                .iter()
+                .map(|&sig| view.entries()[sig].count)
+                .sum();
             sorts.push(ImplicitSort {
                 signatures,
                 subjects,

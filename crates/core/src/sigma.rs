@@ -2,15 +2,17 @@
 //!
 //! The refinement engines need two things from a structuredness function:
 //! its *rule* (for the ILP encoding's rough-count constants) and a way to
-//! evaluate it on arbitrary sub-views (for reporting and for the
+//! evaluate it on arbitrary sets of signatures (for reporting and for the
 //! exhaustive/greedy engines). [`SigmaSpec`] bundles both, using the paper's
 //! closed forms when available and the generic signature-based evaluator for
-//! custom rules.
+//! custom rules. [`SigmaSpec::resolve`] turns a builtin's property IRIs into
+//! one view's columns once, so scoring many sets of that view's signatures
+//! compares no strings and, for a closed form, builds no sub-view.
 
 use std::fmt;
 
 use strudel_rdf::signature::SignatureView;
-use strudel_rules::builtin;
+use strudel_rules::builtin::{self, ClosedForm};
 use strudel_rules::error::{EvalError, RuleError};
 use strudel_rules::eval::Evaluator;
 use strudel_rules::parser::parse_rule;
@@ -86,29 +88,40 @@ impl SigmaSpec {
         }
     }
 
+    /// Resolves the spec against `view`'s columns, once per view: a
+    /// builtin's closed form with its property IRIs turned into column
+    /// indexes, or a custom rule, which has no closed form.
+    pub fn resolve(&self, view: &SignatureView) -> ResolvedSpec<'_> {
+        let pair = |p1: &str, p2: &str, form: fn(usize, usize) -> ClosedForm| {
+            match (view.property_index(p1), view.property_index(p2)) {
+                (Some(a), Some(b)) => form(a, b),
+                // A property absent from the view has no subjects: no total
+                // cases, σ = 1 by definition.
+                _ => ClosedForm::Trivial,
+            }
+        };
+        ResolvedSpec::Closed(match self {
+            SigmaSpec::Coverage => ClosedForm::Cov,
+            SigmaSpec::CoverageIgnoring(props) => ClosedForm::CovIgnoring(
+                props
+                    .iter()
+                    .filter_map(|p| view.property_index(p))
+                    .collect(),
+            ),
+            SigmaSpec::Similarity => ClosedForm::Sim,
+            SigmaSpec::Dependency { p1, p2 } => pair(p1, p2, ClosedForm::Dep),
+            SigmaSpec::SymDependency { p1, p2 } => pair(p1, p2, ClosedForm::SymDep),
+            SigmaSpec::DependencyDisjunctive { p1, p2 } => pair(p1, p2, ClosedForm::DepDisj),
+            SigmaSpec::Custom(rule) => return ResolvedSpec::Custom(rule),
+        })
+    }
+
     /// Evaluates the structuredness of a (sub-)view, using a closed form when
     /// one exists and the generic evaluator otherwise.
     pub fn evaluate(&self, view: &SignatureView) -> Result<Ratio, EvalError> {
-        match self {
-            SigmaSpec::Coverage => Ok(builtin::sigma_cov(view)),
-            SigmaSpec::CoverageIgnoring(props) => {
-                let ignored: Vec<usize> = props
-                    .iter()
-                    .filter_map(|p| view.property_index(p))
-                    .collect();
-                Ok(builtin::sigma_cov_ignoring(view, &ignored))
-            }
-            SigmaSpec::Similarity => Ok(builtin::sigma_sim(view)),
-            SigmaSpec::Dependency { p1, p2 } => {
-                Ok(Self::pairwise(view, p1, p2, builtin::sigma_dep))
-            }
-            SigmaSpec::SymDependency { p1, p2 } => {
-                Ok(Self::pairwise(view, p1, p2, builtin::sigma_sym_dep))
-            }
-            SigmaSpec::DependencyDisjunctive { p1, p2 } => {
-                Ok(Self::pairwise(view, p1, p2, builtin::sigma_dep_disjunctive))
-            }
-            SigmaSpec::Custom(rule) => Evaluator::new(view).sigma(rule),
+        match self.resolve(view) {
+            ResolvedSpec::Closed(form) => Ok(form.evaluate(view)),
+            ResolvedSpec::Custom(rule) => Evaluator::new(view).sigma(rule),
         }
     }
 
@@ -132,18 +145,31 @@ impl SigmaSpec {
             SigmaSpec::Custom(rule) => rule.to_string(),
         }
     }
+}
 
-    fn pairwise(
-        view: &SignatureView,
-        p1: &str,
-        p2: &str,
-        f: fn(&SignatureView, usize, usize) -> Ratio,
-    ) -> Ratio {
-        match (view.property_index(p1), view.property_index(p2)) {
-            (Some(a), Some(b)) => f(view, a, b),
-            // A property absent from the view has no subjects: no total
-            // cases, σ = 1 by definition.
-            _ => Ratio::ONE,
+/// A [`SigmaSpec`] resolved against one view ([`SigmaSpec::resolve`]).
+#[derive(Clone, Debug)]
+pub enum ResolvedSpec<'s> {
+    /// A builtin: its closed form over the view's columns.
+    Closed(ClosedForm),
+    /// A custom rule, evaluated generically on sub-views.
+    Custom(&'s Rule),
+}
+
+impl ResolvedSpec<'_> {
+    /// σ of the implicit sort made of the signature sets `members` of
+    /// `view` (the view the spec was resolved against): a closed form sums
+    /// their counts, and a custom rule evaluates their sub-view.
+    pub fn sigma_of(&self, view: &SignatureView, members: &[usize]) -> Result<Ratio, EvalError> {
+        match self {
+            ResolvedSpec::Closed(form) => {
+                let mut counts = form.empty_counts(view.property_count());
+                for &sig in members {
+                    counts.add(&view.entries()[sig]);
+                }
+                Ok(form.sigma(&counts))
+            }
+            ResolvedSpec::Custom(rule) => Evaluator::new(&view.subset(members)).sigma(rule),
         }
     }
 }

@@ -50,6 +50,13 @@ pub enum ModelError {
         /// The dimension actually supplied.
         actual: usize,
     },
+    /// A view's subject counts leave the range in which σ's closed forms
+    /// are exact: the subject total `|S|` overflows `usize`, or
+    /// `|P| · |S|²` does not fit in `i128`.
+    CountOverflow {
+        /// The view's number of property columns, `|P|`.
+        properties: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -65,6 +72,11 @@ impl fmt::Display for ModelError {
             } => write!(
                 f,
                 "dimension mismatch while building {context}: expected {expected}, got {actual}"
+            ),
+            ModelError::CountOverflow { properties } => write!(
+                f,
+                "subject counts too large: the subject total |S| must fit in usize, \
+                 and |P|·|S|² with {properties} properties in i128"
             ),
         }
     }
@@ -95,5 +107,7 @@ mod tests {
             actual: 5,
         };
         assert!(err.to_string().contains("expected 3"));
+        let err = ModelError::CountOverflow { properties: 2 };
+        assert!(err.to_string().contains("i128"));
     }
 }

@@ -84,12 +84,21 @@ impl SignatureView {
     /// Builds a signature view directly from `(property-index list, count)`
     /// pairs. Intended for synthetic datasets where materialising every
     /// subject row would be wasteful.
+    ///
+    /// Refuses, with [`ModelError::CountOverflow`], counts outside the
+    /// range in which σ's closed forms are exact: a subject total `|S|`
+    /// past `usize::MAX`, or one for which `|P| · |S|²` (σ_Sim's largest
+    /// term) does not fit in `i128`.
     pub fn from_counts(
         properties: Vec<String>,
         signatures: Vec<(Vec<usize>, usize)>,
     ) -> Result<Self, ModelError> {
         let n_props = properties.len();
+        let overflow = ModelError::CountOverflow {
+            properties: n_props,
+        };
         let mut groups: BTreeMap<BitSet, usize> = BTreeMap::new();
+        let mut subjects = 0usize;
         for (indexes, count) in signatures {
             if let Some(&max) = indexes.iter().max() {
                 if max >= n_props {
@@ -103,8 +112,16 @@ impl SignatureView {
             if count == 0 {
                 continue;
             }
+            subjects = subjects.checked_add(count).ok_or(overflow.clone())?;
+            // A merged count is part of the total, so it fits too.
             let bits = BitSet::from_indexes(n_props, &indexes);
             *groups.entry(bits).or_insert(0) += count;
+        }
+        let largest_term = (n_props as u128)
+            .checked_mul(subjects as u128 * subjects as u128)
+            .filter(|&term| term <= i128::MAX as u128);
+        if largest_term.is_none() {
+            return Err(overflow);
         }
         let mut entries: Vec<SignatureEntry> = groups
             .into_iter()
@@ -151,6 +168,10 @@ impl SignatureView {
     }
 
     /// Total number of subjects across all signature sets, `|S(D)|`.
+    ///
+    /// The sum cannot overflow: [`from_counts`](Self::from_counts) refuses
+    /// a total past `usize::MAX`, and a view built from a matrix counts rows
+    /// held in memory.
     pub fn subject_count(&self) -> usize {
         self.entries.iter().map(|e| e.count).sum()
     }
@@ -161,24 +182,6 @@ impl SignatureView {
         self.entries
             .iter()
             .filter(|e| e.signature.contains(col))
-            .map(|e| e.count)
-            .sum()
-    }
-
-    /// Number of subjects that have both properties `col_a` and `col_b`.
-    pub fn property_pair_count(&self, col_a: usize, col_b: usize) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.signature.contains(col_a) && e.signature.contains(col_b))
-            .map(|e| e.count)
-            .sum()
-    }
-
-    /// Number of subjects that have property `col_a` or property `col_b`.
-    pub fn property_either_count(&self, col_a: usize, col_b: usize) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.signature.contains(col_a) || e.signature.contains(col_b))
             .map(|e| e.count)
             .sum()
     }
@@ -318,8 +321,6 @@ mod tests {
         assert_eq!(view.property_subject_count(name), 4);
         assert_eq!(view.property_subject_count(birth), 3);
         assert_eq!(view.property_subject_count(death), 1);
-        assert_eq!(view.property_pair_count(birth, death), 1);
-        assert_eq!(view.property_either_count(birth, death), 3);
         assert_eq!(view.ones(), 2 * 2 + 1 + 3);
     }
 
@@ -337,6 +338,40 @@ mod tests {
 
         let err = SignatureView::from_counts(vec!["p".into()], vec![(vec![1], 1)]).unwrap_err();
         assert!(matches!(err, ModelError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn from_counts_refuses_counts_beyond_exact_sigma_arithmetic() {
+        let two = || vec!["http://ex/a".to_owned(), "http://ex/b".to_owned()];
+        // 2·(2⁶³ − 1) + 2 = 2⁶⁴ subjects: a `usize` total wraps to 0.
+        let half = usize::MAX / 2;
+        let err = SignatureView::from_counts(
+            two(),
+            vec![(vec![0], half), (vec![0, 1], half), (vec![1], 2)],
+        )
+        .unwrap_err();
+        assert_eq!(err, ModelError::CountOverflow { properties: 2 });
+        // Equal signatures whose merged count overflows `usize`, with and
+        // without columns.
+        let err = SignatureView::from_counts(two(), vec![(vec![0], half), (vec![0], half + 2)])
+            .unwrap_err();
+        assert_eq!(err, ModelError::CountOverflow { properties: 2 });
+        let err = SignatureView::from_counts(Vec::new(), vec![(vec![], usize::MAX), (vec![], 1)])
+            .unwrap_err();
+        assert_eq!(err, ModelError::CountOverflow { properties: 0 });
+
+        // Just inside the bound: |S| = 2⁶³ − 1, so 2·|S|² < 2¹²⁷ − 1.
+        let view = SignatureView::from_counts(
+            two(),
+            vec![(vec![0], 1 << 62), (vec![0, 1], (1 << 62) - 1)],
+        )
+        .unwrap();
+        assert_eq!(view.subject_count(), half);
+        // One subject more: 2·(2⁶³)² = 2¹²⁷ does not fit.
+        let err =
+            SignatureView::from_counts(two(), vec![(vec![0], 1 << 62), (vec![0, 1], 1 << 62)])
+                .unwrap_err();
+        assert_eq!(err, ModelError::CountOverflow { properties: 2 });
     }
 
     #[test]

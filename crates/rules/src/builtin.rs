@@ -2,11 +2,23 @@
 //! both as rules of the language and as closed-form evaluators.
 //!
 //! The closed forms are algebraic simplifications of the generic rule
-//! semantics over a signature view; they are used by the direct refinement
-//! engine where σ must be re-evaluated for many candidate subsets, and they
-//! are property-tested against the generic evaluator.
+//! semantics, property-tested against the generic evaluator. Each depends
+//! on a set of subjects only through a few counts, [`ColumnCounts`]: the
+//! subject count `|S|`, each column's subject count `n_p`, and for the
+//! dependency rules the subjects that have both of their properties. Every
+//! formula is written once, in [`ClosedForm::sigma`], as a function of
+//! those counts. The `sigma_*` functions sum a view's counts and call it,
+//! and so does the greedy engine, which keeps each candidate sort's counts
+//! running and scores a placement, a move or a merge by adding or taking
+//! away one signature set's counts (or another sort's), without building a
+//! sub-view.
+//!
+//! The arithmetic is exact: `SignatureView::from_counts` refuses a view
+//! whose subject total `|S|` overflows `usize` or whose `|P| · |S|²` does
+//! not fit in `i128`, and no total or favorable count of a closed form
+//! exceeds `|S|` or `|P| · |S|²`.
 
-use strudel_rdf::signature::SignatureView;
+use strudel_rdf::signature::{SignatureEntry, SignatureView};
 
 use crate::ast::{Atom, Formula, Rule, Var};
 use crate::rational::Ratio;
@@ -117,109 +129,238 @@ pub fn dependency_disjunctive(p1: &str, p2: &str) -> Rule {
     .expect("the DepDisj rule is well-formed")
 }
 
-/// Closed-form σ_Cov: `(Σ_{s,p} M[s][p]) / (|S(D)| · |P(D)|)`, where `P(D)`
-/// counts only properties with at least one subject.
-pub fn sigma_cov(view: &SignatureView) -> Ratio {
-    let subjects = view.subject_count() as u128;
-    let used_properties = (0..view.property_count())
-        .filter(|&col| view.property_subject_count(col) > 0)
-        .count() as u128;
-    let total = subjects * used_properties;
-    if total == 0 {
-        return Ratio::ONE;
-    }
-    Ratio::from_counts(view.ones() as u128, total)
+/// The counts σ's closed forms read from a set of subjects: `|S|`, the
+/// subjects `n_p` that have each property column, and, when a pairwise
+/// rule tracks a pair of columns, the subjects that have both.
+///
+/// Each count is a sum over the set's signature sets (Section 6.1), so
+/// the counts of a union are the sums of the parts' counts, and adding
+/// or taking away one signature set updates them in place. Start from
+/// [`ClosedForm::empty_counts`], which sets the tracked pair to the
+/// form's.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ColumnCounts {
+    subjects: u128,
+    columns: Vec<u128>,
+    pair: Option<(usize, usize)>,
+    both: u128,
 }
 
-/// Closed-form σ_Cov ignoring a set of property columns.
-pub fn sigma_cov_ignoring(view: &SignatureView, ignored_columns: &[usize]) -> Ratio {
-    let subjects = view.subject_count() as u128;
-    let mut used_properties = 0u128;
-    let mut ones = 0u128;
-    for col in 0..view.property_count() {
-        if ignored_columns.contains(&col) {
-            continue;
-        }
-        let count = view.property_subject_count(col) as u128;
-        if count > 0 {
-            used_properties += 1;
-            ones += count;
+impl Clone for ColumnCounts {
+    fn clone(&self) -> Self {
+        ColumnCounts {
+            columns: self.columns.clone(),
+            ..*self
         }
     }
-    let total = subjects * used_properties;
+
+    /// Copies into the existing column buffer: scoring a change in a
+    /// scratch copy allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.subjects = source.subjects;
+        self.columns.clone_from(&source.columns);
+        self.pair = source.pair;
+        self.both = source.both;
+    }
+}
+
+impl ColumnCounts {
+    /// Adds the subjects of one signature set.
+    pub fn add(&mut self, entry: &SignatureEntry) {
+        let count = entry.count as u128;
+        self.subjects += count;
+        for col in entry.signature.iter() {
+            self.columns[col] += count;
+        }
+        if self.has_pair(entry) {
+            self.both += count;
+        }
+    }
+
+    /// Takes away the subjects of one signature set the counts hold.
+    pub fn remove(&mut self, entry: &SignatureEntry) {
+        let count = entry.count as u128;
+        self.subjects -= count;
+        for col in entry.signature.iter() {
+            self.columns[col] -= count;
+        }
+        if self.has_pair(entry) {
+            self.both -= count;
+        }
+    }
+
+    /// Adds the subjects of a disjoint set, given by its counts.
+    pub fn merge(&mut self, other: &ColumnCounts) {
+        debug_assert_eq!(self.pair, other.pair, "counts of one closed form");
+        self.subjects += other.subjects;
+        for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
+            *mine += theirs;
+        }
+        self.both += other.both;
+    }
+
+    /// Empties the counts, keeping their columns and tracked pair.
+    pub fn clear(&mut self) {
+        self.subjects = 0;
+        self.columns.fill(0);
+        self.both = 0;
+    }
+
+    fn has_pair(&self, entry: &SignatureEntry) -> bool {
+        self.pair
+            .is_some_and(|(a, b)| entry.signature.contains(a) && entry.signature.contains(b))
+    }
+}
+
+/// One of the paper's structuredness functions with its properties resolved
+/// to a view's columns: σ in closed form over the [`ColumnCounts`] of a set
+/// of subjects.
+///
+/// Each form is an algebraic simplification of its rule's generic semantics
+/// (property-tested against [`Evaluator`](crate::eval::Evaluator)). For a
+/// view that [`SignatureView::from_counts`] accepts, `|S|` fits in `usize`
+/// and `|P| · |S|²` (σ_Sim's largest term) in `i128`, and every total and
+/// favorable count below is at most `|S|` or `|P| · |S|²`, so the
+/// arithmetic is exact and never overflows.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ClosedForm {
+    /// σ_Cov: `(Σ_p n_p) / (|S| · |P(D)|)`, where `P(D)` counts only the
+    /// properties with at least one subject.
+    Cov,
+    /// σ_Cov over every column but the listed ones.
+    CovIgnoring(Vec<usize>),
+    /// σ_Sim: for every used property `p`, the total cases are
+    /// `n_p · (|S| − 1)` (pick a subject that has `p`, then any *different*
+    /// subject) and the favorable cases are `n_p · (n_p − 1)`.
+    Sim,
+    /// σ_Dep[p1, p2]: the probability that a subject with `p1` also has `p2`.
+    Dep(usize, usize),
+    /// σ_SymDep[p1, p2]: the probability that a subject with `p1` or `p2`
+    /// has both.
+    SymDep(usize, usize),
+    /// The disjunctive dependency: the probability that a random subject
+    /// lacks `p1` or has `p2`.
+    DepDisj(usize, usize),
+    /// A dependency rule on a property the view lacks: no subject has it,
+    /// so there are no total cases and σ = 1 on every set of subjects.
+    Trivial,
+}
+
+impl ClosedForm {
+    /// The counts of the empty set of subjects over `columns` property
+    /// columns, tracking the pair of columns this form reads.
+    pub fn empty_counts(&self, columns: usize) -> ColumnCounts {
+        let pair = match *self {
+            ClosedForm::Dep(p1, p2) | ClosedForm::SymDep(p1, p2) | ClosedForm::DepDisj(p1, p2) => {
+                Some((p1, p2))
+            }
+            _ => None,
+        };
+        ColumnCounts {
+            subjects: 0,
+            columns: vec![0; columns],
+            pair,
+            both: 0,
+        }
+    }
+
+    /// σ of the set of subjects `counts` describes.
+    pub fn sigma(&self, counts: &ColumnCounts) -> Ratio {
+        let subjects = counts.subjects;
+        match self {
+            ClosedForm::Cov => coverage_of(counts, &[]),
+            ClosedForm::CovIgnoring(ignored) => coverage_of(counts, ignored),
+            ClosedForm::Sim => {
+                let mut total = 0u128;
+                let mut favorable = 0u128;
+                for &n_p in counts.columns.iter().filter(|&&n_p| n_p > 0) {
+                    total += n_p * (subjects - 1);
+                    favorable += n_p * (n_p - 1);
+                }
+                if total == 0 {
+                    return Ratio::ONE;
+                }
+                Ratio::from_counts(favorable, total)
+            }
+            &ClosedForm::Dep(p1, p2)
+            | &ClosedForm::SymDep(p1, p2)
+            | &ClosedForm::DepDisj(p1, p2) => {
+                let (with_p1, with_p2) = (counts.columns[p1], counts.columns[p2]);
+                // No total cases, exactly as the rule semantics dictates.
+                if with_p1 == 0 || with_p2 == 0 {
+                    return Ratio::ONE;
+                }
+                let with_both = counts.both;
+                match self {
+                    ClosedForm::Dep(..) => Ratio::from_counts(with_both, with_p1),
+                    ClosedForm::SymDep(..) => {
+                        Ratio::from_counts(with_both, with_p1 + with_p2 - with_both)
+                    }
+                    // |¬p1 ∨ p2| = |S| − |p1| + |p1 ∧ p2|.
+                    _ => Ratio::from_counts(subjects - with_p1 + with_both, subjects),
+                }
+            }
+            ClosedForm::Trivial => Ratio::ONE,
+        }
+    }
+
+    /// σ of a whole view: the sum of its signature sets' counts, then
+    /// [`sigma`](Self::sigma).
+    pub fn evaluate(&self, view: &SignatureView) -> Ratio {
+        let mut counts = self.empty_counts(view.property_count());
+        for entry in view.entries() {
+            counts.add(entry);
+        }
+        self.sigma(&counts)
+    }
+}
+
+/// σ_Cov over the columns not in `ignored`.
+fn coverage_of(counts: &ColumnCounts, ignored: &[usize]) -> Ratio {
+    let mut used_properties = 0u128;
+    let mut ones = 0u128;
+    for (col, &n_p) in counts.columns.iter().enumerate() {
+        if n_p > 0 && !ignored.contains(&col) {
+            used_properties += 1;
+            ones += n_p;
+        }
+    }
+    let total = counts.subjects * used_properties;
     if total == 0 {
         return Ratio::ONE;
     }
     Ratio::from_counts(ones, total)
 }
 
-/// Closed-form σ_Sim.
-///
-/// For every used property `p` with `n_p` subjects, the total cases are
-/// `n_p · (|S| − 1)` (pick the subject that has `p`, then any *different*
-/// subject) and the favorable cases are `n_p · (n_p − 1)`.
+/// σ_Cov of a view ([`ClosedForm::Cov`]).
+pub fn sigma_cov(view: &SignatureView) -> Ratio {
+    ClosedForm::Cov.evaluate(view)
+}
+
+/// σ_Cov of a view ignoring a set of property columns
+/// ([`ClosedForm::CovIgnoring`]).
+pub fn sigma_cov_ignoring(view: &SignatureView, ignored_columns: &[usize]) -> Ratio {
+    ClosedForm::CovIgnoring(ignored_columns.to_vec()).evaluate(view)
+}
+
+/// σ_Sim of a view ([`ClosedForm::Sim`]).
 pub fn sigma_sim(view: &SignatureView) -> Ratio {
-    let subjects = view.subject_count() as u128;
-    if subjects == 0 {
-        return Ratio::ONE;
-    }
-    let mut total = 0u128;
-    let mut favorable = 0u128;
-    for col in 0..view.property_count() {
-        let n_p = view.property_subject_count(col) as u128;
-        if n_p == 0 {
-            continue;
-        }
-        total += n_p * (subjects - 1);
-        favorable += n_p * (n_p - 1);
-    }
-    if total == 0 {
-        return Ratio::ONE;
-    }
-    Ratio::from_counts(favorable, total)
+    ClosedForm::Sim.evaluate(view)
 }
 
-/// Closed-form σ_Dep[p1, p2]: the probability that a subject with `p1` also
-/// has `p2`. Trivially 1 when either property has no subjects (no total
-/// cases, exactly as the rule semantics dictates).
+/// σ_Dep[p1, p2] of a view ([`ClosedForm::Dep`]).
 pub fn sigma_dep(view: &SignatureView, p1: usize, p2: usize) -> Ratio {
-    if view.property_subject_count(p1) == 0 || view.property_subject_count(p2) == 0 {
-        return Ratio::ONE;
-    }
-    let total = view.property_subject_count(p1) as u128;
-    let favorable = view.property_pair_count(p1, p2) as u128;
-    Ratio::from_counts(favorable, total)
+    ClosedForm::Dep(p1, p2).evaluate(view)
 }
 
-/// Closed-form σ_SymDep[p1, p2]: the probability that a subject with `p1` or
-/// `p2` has both.
+/// σ_SymDep[p1, p2] of a view ([`ClosedForm::SymDep`]).
 pub fn sigma_sym_dep(view: &SignatureView, p1: usize, p2: usize) -> Ratio {
-    if view.property_subject_count(p1) == 0 || view.property_subject_count(p2) == 0 {
-        return Ratio::ONE;
-    }
-    let total = view.property_either_count(p1, p2) as u128;
-    if total == 0 {
-        return Ratio::ONE;
-    }
-    let favorable = view.property_pair_count(p1, p2) as u128;
-    Ratio::from_counts(favorable, total)
+    ClosedForm::SymDep(p1, p2).evaluate(view)
 }
 
-/// Closed-form disjunctive dependency: the probability that a random subject
-/// lacks `p1` or has `p2`.
+/// The disjunctive dependency of a view ([`ClosedForm::DepDisj`]).
 pub fn sigma_dep_disjunctive(view: &SignatureView, p1: usize, p2: usize) -> Ratio {
-    if view.property_subject_count(p1) == 0 || view.property_subject_count(p2) == 0 {
-        return Ratio::ONE;
-    }
-    let subjects = view.subject_count() as u128;
-    if subjects == 0 {
-        return Ratio::ONE;
-    }
-    let with_p1 = view.property_subject_count(p1) as u128;
-    let with_both = view.property_pair_count(p1, p2) as u128;
-    // |¬p1 ∨ p2| = |S| − |p1| + |p1 ∧ p2|.
-    let favorable = subjects - with_p1 + with_both;
-    Ratio::from_counts(favorable, subjects)
+    ClosedForm::DepDisj(p1, p2).evaluate(view)
 }
 
 #[cfg(test)]

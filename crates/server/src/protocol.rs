@@ -54,7 +54,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use strudel_core::engine::{GreedyConfig, GreedyEngine, HybridEngine, IlpEngine, RefinementEngine};
+use strudel_core::engine::{GreedyEngine, HybridEngine, IlpEngine, RefinementEngine};
 use strudel_core::sigma::{parse_spec, SigmaSpec};
 use strudel_core::wire::{
     read_varint, write_varint, WireEnvelope, WireHighestTheta, WireLowestK, WireOutcome,
@@ -188,13 +188,10 @@ impl EngineKind {
                 Some(limit) => IlpEngine::with_time_limit(limit),
                 None => IlpEngine::new(),
             }),
-            EngineKind::Greedy => {
-                let config = GreedyConfig {
-                    time_limit,
-                    ..GreedyConfig::default()
-                };
-                Box::new(GreedyEngine::with_config(config))
-            }
+            EngineKind::Greedy => Box::new(match time_limit {
+                Some(limit) => GreedyEngine::with_time_limit(limit),
+                None => GreedyEngine::new(),
+            }),
         }
     }
 }

@@ -2,15 +2,18 @@
 //! accounting, cache behaviour, batch envelopes, persistence/warm starts,
 //! graceful shutdown, and protocol robustness.
 
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 
 use strudel_core::engine::{IlpEngine, RefineOutcome};
 use strudel_core::sigma::SigmaSpec;
+use strudel_core::wire::write_varint;
 use strudel_rdf::signature::SignatureView;
 use strudel_rules::prelude::Ratio;
 use strudel_server::prelude::*;
+use strudel_server::protocol::{self, FrameKind, Framing};
 
 fn start_test_server(workers: usize, cache_capacity: usize) -> ServerHandle {
     server::start(&ServerConfig {
@@ -278,6 +281,91 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
     let response = client.solve(&refine_request(Ratio::new(1, 2))).unwrap();
     assert_eq!(response.source(), Some(Source::Solved));
 
+    client.shutdown().unwrap();
+    handle.wait();
+}
+
+/// Subject counts beyond exact σ arithmetic are refused at decode on both
+/// framings. Two signature sets of 2⁶³ − 1 subjects and one of 2 once
+/// summed to 2⁶⁴, which wraps to 0 in a `usize`: σ_Cov then had no total
+/// cases and read 1, so greedy and hybrid answered k = 1, θ = 1 with one
+/// sort of "0 subjects" (and the server cached it) where the exact engine
+/// answered infeasible.
+#[test]
+fn a_view_whose_counts_overflow_is_refused_on_both_framings() {
+    const HALF: u64 = (1 << 63) - 1;
+    let properties = ["http://ex/a", "http://ex/b"];
+    let signatures: [(&[u64], u64); 3] = [(&[0], HALF), (&[0, 1], HALF), (&[1], 2)];
+    let handle = start_test_server(1, 8);
+    let refused = |raw: &str, framing: &str| {
+        assert!(
+            raw.starts_with("{\"ok\":false,") && raw.contains("invalid view"),
+            "{framing}: {raw}"
+        );
+    };
+
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for engine in ["greedy", "hybrid", "ilp"] {
+        let line = format!(
+            "{{\"op\":\"refine\",\"view\":{{\"properties\":[\"{}\",\"{}\"],\
+             \"signatures\":[[[0],{HALF}],[[0,1],{HALF}],[[1],2]]}},\"rule\":\"cov\",\
+             \"engine\":\"{engine}\",\"k\":1,\"theta\":\"1\"}}",
+            properties[0], properties[1]
+        );
+        refused(&client.call_raw(&line).expect("the server answers"), engine);
+    }
+
+    // bin1: the binary refine payload, built by hand because no
+    // `SignatureView` (and so no `SolveRequest`) can hold these counts:
+    // op 1 (refine), engine 3 (greedy), flags k | θ, the properties, the
+    // signatures as (index count, indexes, subjects), rule, k and θ.
+    let mut payload = vec![1u8, 3, 0b11];
+    let put_str = |out: &mut Vec<u8>, text: &str| {
+        write_varint(out, text.len() as u64);
+        out.extend_from_slice(text.as_bytes());
+    };
+    write_varint(&mut payload, properties.len() as u64);
+    for property in properties {
+        put_str(&mut payload, property);
+    }
+    write_varint(&mut payload, signatures.len() as u64);
+    for (indexes, subjects) in signatures {
+        write_varint(&mut payload, indexes.len() as u64);
+        for &index in indexes {
+            write_varint(&mut payload, index);
+        }
+        write_varint(&mut payload, subjects);
+    }
+    put_str(&mut payload, "cov");
+    write_varint(&mut payload, 1);
+    put_str(&mut payload, "1");
+
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect raw");
+    raw.write_all(protocol::encode_hello(Framing::Bin1).as_bytes())
+        .and_then(|()| raw.write_all(b"\n"))
+        .expect("hello line");
+    let mut frame = Vec::new();
+    protocol::encode_frame_into(&mut frame, FrameKind::Request, "", &payload);
+    raw.write_all(&frame).expect("refine frame");
+    let mut buf = Vec::new();
+    let mut next_frame = || loop {
+        if let Some(view) = protocol::try_decode_frame(&buf, 1 << 20).expect("a valid frame") {
+            let (payload, consumed) = (view.payload.to_vec(), view.consumed);
+            buf.drain(..consumed);
+            return String::from_utf8(payload).expect("a UTF-8 response");
+        }
+        let mut chunk = [0u8; 4096];
+        let read = raw.read(&mut chunk).expect("the server answers");
+        assert!(read > 0, "the server closed the connection");
+        buf.extend_from_slice(&chunk[..read]);
+    };
+    let ack = next_frame();
+    assert!(ack.starts_with("{\"ok\":true,"), "hello ack: {ack}");
+    refused(&next_frame(), "bin1");
+
+    // Nothing was solved or cached, and the server keeps serving.
+    let response = client.solve(&refine_request(Ratio::new(1, 2))).unwrap();
+    assert_eq!(response.source(), Some(Source::Solved));
     client.shutdown().unwrap();
     handle.wait();
 }
