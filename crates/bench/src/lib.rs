@@ -7,8 +7,8 @@
 //!   (Section 7), each producing a report comparing measured values with the
 //!   published ones. The `experiments` binary
 //!   (`cargo run -p strudel-bench --bin experiments -- all`) runs them and
-//!   prints the reports; `--markdown` emits the rows used by
-//!   `EXPERIMENTS.md`.
+//!   prints the reports; `--quick` (the default) or `--full` picks the
+//!   effort budget, and `--seed N` the data generator's seed.
 //! * [`budget`] — effort budgets (quick vs full).
 //! * [`fitting`] — the least-squares fits used by the scalability figure.
 //!

@@ -2,7 +2,7 @@
 //!
 //! [`choose`] branches on the first undecided decision group, trying its
 //! still-possible members in declaration order. A model with no undecided
-//! group left branches on its first unfixed variable instead.
+//! group left branches on its first free variable instead, 1 before 0.
 //!
 //! ## Value precedence
 //!
@@ -20,19 +20,15 @@
 use crate::engine::Engine;
 use crate::model::{Model, VarId};
 
-/// A single branching decision.
+/// A single branching decision: fix `var` to `value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BranchChoice {
-    /// Fix the variable to a value.
-    Fix { var: usize, value: i64 },
-    /// Tighten the upper bound to `value`.
-    UpperAtMost { var: usize, value: i64 },
-    /// Tighten the lower bound to `value`.
-    LowerAtLeast { var: usize, value: i64 },
+pub(crate) struct BranchChoice {
+    pub(crate) var: usize,
+    pub(crate) value: bool,
 }
 
 /// The alternatives to try at this node, in order. The search asks only
-/// at nodes with an unfixed variable, so empty means a dead end: the first
+/// at nodes with a free variable, so empty means a dead end: the first
 /// undecided group has no member it may still set to 1.
 pub(crate) fn choose(engine: &Engine, model: &Model) -> Vec<BranchChoice> {
     let groups = model.decision_groups();
@@ -53,7 +49,10 @@ fn open_labels(engine: &Engine, groups: &[Vec<VarId>]) -> Vec<bool> {
     let width = groups.iter().map(Vec::len).max().unwrap_or(0);
     let mut open = vec![false; width];
     for group in groups {
-        if let Some(label) = group.iter().position(|&var| engine.lower(var.index()) == 1) {
+        if let Some(label) = group
+            .iter()
+            .position(|&var| engine.value(var.index()) == Some(true))
+        {
             open[label] = true;
         }
     }
@@ -63,7 +62,7 @@ fn open_labels(engine: &Engine, groups: &[Vec<VarId>]) -> Vec<bool> {
     open
 }
 
-/// The still-possible `Fix(var, 1)` alternatives of a group among its open
+/// The still-possible `var = 1` alternatives of a group among its open
 /// labels (all of them when `open` is `None`). Empty when none is left,
 /// which a model that keeps its promises never reaches: propagation runs to
 /// a fixpoint, so a group whose members are all forced to 0 has already
@@ -74,43 +73,31 @@ fn group_choices(engine: &Engine, group: &[VarId], open: Option<&[bool]>) -> Vec
         .iter()
         .enumerate()
         .filter(|&(label, &var)| {
-            engine.upper(var.index()) == 1 && open.map_or(true, |open| open[label])
+            engine.value(var.index()) != Some(false) && open.map_or(true, |open| open[label])
         })
-        .map(|(_, &var)| BranchChoice::Fix {
+        .map(|(_, &var)| BranchChoice {
             var: var.index(),
-            value: 1,
+            value: true,
         })
         .collect()
 }
 
 fn group_is_decided(engine: &Engine, group: &[VarId]) -> bool {
-    group.iter().any(|&var| engine.lower(var.index()) == 1)
+    group
+        .iter()
+        .any(|&var| engine.value(var.index()) == Some(true))
 }
 
-/// Fallback when no decision group is left: branch on the first unfixed
-/// variable (binary split, else interval bisection).
+/// Fallback when no decision group is left: branch on the first free
+/// variable, trying 1 before 0.
 fn fallback_choices(engine: &Engine) -> Vec<BranchChoice> {
-    for var in 0..engine.num_vars() {
-        if !engine.is_fixed(var) {
-            let lower = engine.lower(var);
-            let upper = engine.upper(var);
-            if upper - lower == 1 {
-                return vec![
-                    BranchChoice::Fix { var, value: upper },
-                    BranchChoice::Fix { var, value: lower },
-                ];
-            }
-            let mid = lower + (upper - lower) / 2;
-            return vec![
-                BranchChoice::UpperAtMost { var, value: mid },
-                BranchChoice::LowerAtLeast {
-                    var,
-                    value: mid + 1,
-                },
-            ];
-        }
+    match (0..engine.num_vars()).find(|&var| !engine.is_fixed(var)) {
+        Some(var) => vec![
+            BranchChoice { var, value: true },
+            BranchChoice { var, value: false },
+        ],
+        None => Vec::new(),
     }
-    Vec::new()
 }
 
 #[cfg(test)]
@@ -140,13 +127,8 @@ mod tests {
     fn input_order_picks_first_group_ascending() {
         let model = group_model();
         let choices = choose(&Engine::new(&model).unwrap(), &model);
-        assert_eq!(
-            choices,
-            vec![
-                BranchChoice::Fix { var: 0, value: 1 },
-                BranchChoice::Fix { var: 1, value: 1 },
-            ]
-        );
+        let one = |var| BranchChoice { var, value: true };
+        assert_eq!(choices, vec![one(0), one(1)]);
     }
 
     /// Under value precedence the first group may open only label 0, and
@@ -167,14 +149,14 @@ mod tests {
             })
             .collect();
         model.declare_interchangeable_labels();
-        let fix = |var: VarId| BranchChoice::Fix {
+        let fix = |var: VarId| BranchChoice {
             var: var.index(),
-            value: 1,
+            value: true,
         };
         let mut engine = Engine::new(&model).unwrap();
         assert_eq!(choose(&engine, &model), vec![fix(x[0][0])]);
         engine.push_level();
-        engine.fix(x[0][0].index(), 1).unwrap();
+        engine.fix(x[0][0].index(), true).unwrap();
         engine.propagate().unwrap();
         assert_eq!(choose(&engine, &model), vec![fix(x[1][0]), fix(x[1][1])]);
     }
@@ -182,8 +164,8 @@ mod tests {
     /// A row that forces label 0 of the first group to 0 breaks the
     /// declaration's promise: labels 1 and 2 are still free, but value
     /// precedence offers only label 0. The group must be a dead end, so the
-    /// solve ends with the documented wrong answer; a branch that changes
-    /// no bound would recurse on the same node until the stack overflows.
+    /// solve ends with the documented wrong answer; a branch that fixes no
+    /// variable would recurse on the same node until the stack overflows.
     #[test]
     fn a_promise_breaking_group_is_a_dead_end() {
         let mut model = Model::new();
@@ -204,18 +186,24 @@ mod tests {
         assert_eq!(result.stats.nodes, 1);
     }
 
+    /// Without decision groups the search branches on the first free
+    /// variable, 1 before 0, and a node with none free offers nothing.
     #[test]
-    fn fallback_bisects_wide_domains() {
+    fn fallback_tries_one_then_zero() {
         let mut model = Model::new();
-        let _x = model.add_integer("x", 0, 10);
-        let engine = Engine::new(&model).unwrap();
-        let choices = choose(&engine, &model);
-        assert_eq!(
-            choices,
-            vec![
-                BranchChoice::UpperAtMost { var: 0, value: 5 },
-                BranchChoice::LowerAtLeast { var: 0, value: 6 },
-            ]
-        );
+        let x = model.add_binary("x");
+        let y = model.add_binary("y");
+        let mut engine = Engine::new(&model).unwrap();
+        let split = |var: VarId| {
+            [true, false].map(|value| BranchChoice {
+                var: var.index(),
+                value,
+            })
+        };
+        assert_eq!(choose(&engine, &model), split(x));
+        engine.fix(x.index(), false).unwrap();
+        assert_eq!(choose(&engine, &model), split(y));
+        engine.fix(y.index(), true).unwrap();
+        assert_eq!(choose(&engine, &model), Vec::new());
     }
 }

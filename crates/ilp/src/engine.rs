@@ -1,41 +1,41 @@
-//! The propagation engine: normalized constraints, bound tracking with a
-//! backtrackable trail, and event-driven integer bound propagation.
+//! The propagation engine: normalized constraints, a 0/1 assignment with a
+//! backtrackable trail, and event-driven propagation.
 //!
 //! Every model constraint is normalized into one or two `Σ aᵢ·xᵢ ≤ rhs`
-//! rows. The engine maintains, for each row, the *minimum activity* — the
-//! smallest value the left-hand side can take under the current bounds — and
-//! uses it both to detect conflicts early and to tighten variable bounds
-//! (standard bounds-consistency propagation for linear constraints).
+//! rows over 0/1 variables. The engine maintains, for each row, the
+//! *minimum activity* — the smallest value the left-hand side can take
+//! under the current assignment — and uses it both to detect conflicts
+//! early and to fix variables: a free term whose weight `|aᵢ|` exceeds the
+//! row's slack `rhs − min_activity` can take only the value that keeps the
+//! row at its minimum, 0 for a positive coefficient and 1 for a negative
+//! one.
 //!
-//! Propagation is *event-driven*: every row **watches** exactly the bound
-//! events that can raise its minimum activity. A row watches the *lower*
-//! bound of variables it holds with a positive coefficient and the *upper*
-//! bound of variables with a negative coefficient; any other bound event on
-//! its variables cannot produce a new inference from that row, so the row is
-//! not woken. Each watch carries its coefficient, so posting an event updates
-//! the watching rows' activities in one multiply-add per watcher — the
-//! per-event linear rescan of the row (`row_coeff`) that the first version
-//! of this engine paid is gone, on the hot path and on backtracking alike.
+//! Propagation is *event-driven*: every row **watches** exactly the fixings
+//! that can raise its minimum activity. A row watches `(x, 1)` for each
+//! variable it holds with a positive coefficient and `(x, 0)` for each one
+//! with a negative coefficient; fixing a variable the other way leaves the
+//! row at its minimum, so the row is not woken. Each watch carries the
+//! weight `|aᵢ|`, so a fixing updates the watching rows' activities in one
+//! addition per watcher, and so does undoing it.
 //!
-//! A woken row reads its terms only when one of them might tighten. At
-//! construction each row stores its *reach*, the largest `|aᵢ|·(ubᵢ − lbᵢ)`
-//! over the root bounds. A term can tighten only when the row's slack
-//! `rhs − min_activity` is below `|aᵢ|` times the term's current range, and
-//! bounds only narrow during a solve, so a row whose slack is at least its
-//! reach returns right after the conflict check. The terms are walked in
-//! place, never copied.
+//! A woken row reads its terms only when one of them might be fixed. At
+//! construction each row stores its *reach*, the largest `|aᵢ|` over its
+//! terms. The slack only shrinks during a solve, so a row whose slack is at
+//! least its reach returns right after the conflict check. The terms are
+//! walked in place, never copied.
 //!
 //! Backtracking costs what was done since the matching level, never the
 //! model's size: [`Engine::pop_level`] undoes the trail entries, clears only
-//! the rows still queued, and keeps the count of unfixed variables that
-//! makes [`Engine::all_fixed`] O(1).
+//! the rows still queued, and keeps the count of free variables that makes
+//! [`Engine::all_fixed`] O(1).
 
 use std::collections::VecDeque;
 
 use crate::error::IlpError;
 use crate::model::{Cmp, Model};
 
-/// A conflict: the current bounds cannot be extended to a feasible solution.
+/// A conflict: the current assignment cannot be extended to a feasible
+/// solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conflict;
 
@@ -44,80 +44,55 @@ pub struct Conflict;
 struct Row {
     terms: Vec<(usize, i64)>,
     rhs: i128,
-    /// The largest `|aᵢ|·(ubᵢ − lbᵢ)` over the root bounds: a slack of at
-    /// least this much leaves every term of the row unable to tighten.
+    /// The largest `|aᵢ|`: a slack of at least this much leaves every term
+    /// of the row free.
     reach: i128,
 }
 
 impl Row {
-    fn new(terms: Vec<(usize, i64)>, rhs: i128, model: &Model) -> Self {
+    fn new(terms: Vec<(usize, i64)>, rhs: i128) -> Self {
         let reach = terms
             .iter()
-            .map(|&(var, coeff)| {
-                let def = &model.vars()[var];
-                i128::from(coeff.unsigned_abs()) * (i128::from(def.upper) - i128::from(def.lower))
-            })
+            .map(|&(_, coeff)| i128::from(coeff.unsigned_abs()))
             .fold(0, i128::max);
         Row { terms, rhs, reach }
     }
 }
 
-/// One entry of a variable's watcher list: the row to wake and the
-/// coefficient the variable carries in it. Watches are built once at
-/// construction; carrying the coefficient makes both the activity update and
-/// the wake decision O(1) per watcher.
+/// One entry of a literal's watcher list: the row to wake and the weight
+/// `|aᵢ|` by which the fixing raises the row's minimum activity. Watches
+/// are built once at construction; carrying the weight makes both the
+/// activity update and the wake decision O(1) per watcher.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
     row: u32,
-    coeff: i64,
+    weight: u64,
 }
 
-/// A recorded bound change, undone on backtracking.
-#[derive(Debug, Clone, Copy)]
-enum TrailEntry {
-    Lower { var: usize, old: i64 },
-    Upper { var: usize, old: i64 },
+/// The index of the literal "`var` is fixed to `value`" in the watch lists.
+fn literal(var: usize, value: bool) -> usize {
+    2 * var + usize::from(value)
 }
 
 /// Event-driven propagation engine over the normalized form of a model.
 pub struct Engine {
     rows: Vec<Row>,
-    /// var → rows watching the variable's *lower* bound (positive
-    /// coefficient: a raised lower bound raises the row's min activity).
-    lower_watches: Vec<Vec<Watch>>,
-    /// var → rows watching the variable's *upper* bound (negative
-    /// coefficient: a lowered upper bound raises the row's min activity).
-    upper_watches: Vec<Vec<Watch>>,
-    lower: Vec<i64>,
-    upper: Vec<i64>,
+    /// literal → rows whose minimum activity that fixing raises: `(x, 1)`
+    /// for a positive coefficient, `(x, 0)` for a negative one.
+    watches: Vec<Vec<Watch>>,
+    /// The value each variable is fixed to, `None` while it is free.
+    values: Vec<Option<bool>>,
     min_activity: Vec<i128>,
-    trail: Vec<TrailEntry>,
+    /// The variables fixed so far, in order.
+    trail: Vec<usize>,
     level_marks: Vec<usize>,
     queue: VecDeque<usize>,
     /// `in_queue[r]` holds exactly when row `r` is in `queue`.
     in_queue: Vec<bool>,
-    /// Number of variables whose lower and upper bounds differ.
+    /// Number of free variables.
     unfixed: usize,
-    /// Total number of bound tightenings performed.
+    /// Total number of variables fixed, by decisions and by propagation.
     pub propagations: u64,
-}
-
-fn floor_div(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) != (b < 0) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-fn ceil_div(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) == (b < 0) {
-        q + 1
-    } else {
-        q
-    }
 }
 
 impl Engine {
@@ -134,7 +109,7 @@ impl Engine {
                     });
                 }
             }
-            let base_rhs = i128::from(constraint.rhs) - i128::from(constraint.expr.constant);
+            let rhs = i128::from(constraint.rhs);
             let terms: Vec<(usize, i64)> = constraint
                 .expr
                 .terms
@@ -143,83 +118,60 @@ impl Engine {
                 .collect();
             let negated = || terms.iter().map(|&(v, c)| (v, -c)).collect();
             match constraint.cmp {
-                Cmp::Le => rows.push(Row::new(terms.clone(), base_rhs, model)),
-                Cmp::Ge => rows.push(Row::new(negated(), -base_rhs, model)),
+                Cmp::Le => rows.push(Row::new(terms.clone(), rhs)),
+                Cmp::Ge => rows.push(Row::new(negated(), -rhs)),
                 Cmp::Eq => {
-                    rows.push(Row::new(terms.clone(), base_rhs, model));
-                    rows.push(Row::new(negated(), -base_rhs, model));
+                    rows.push(Row::new(terms.clone(), rhs));
+                    rows.push(Row::new(negated(), -rhs));
                 }
             }
         }
 
-        let mut lower_watches = vec![Vec::new(); num_vars];
-        let mut upper_watches = vec![Vec::new(); num_vars];
+        let mut watches = vec![Vec::new(); 2 * num_vars];
         for (row_idx, row) in rows.iter().enumerate() {
             for &(var, coeff) in &row.terms {
-                let watch = Watch {
-                    row: row_idx as u32,
-                    coeff,
-                };
-                if coeff > 0 {
-                    lower_watches[var].push(watch);
-                } else if coeff < 0 {
-                    upper_watches[var].push(watch);
+                if coeff != 0 {
+                    watches[literal(var, coeff > 0)].push(Watch {
+                        row: row_idx as u32,
+                        weight: coeff.unsigned_abs(),
+                    });
                 }
             }
         }
 
-        let lower: Vec<i64> = model.vars().iter().map(|v| v.lower).collect();
-        let upper: Vec<i64> = model.vars().iter().map(|v| v.upper).collect();
-        let unfixed = lower.iter().zip(&upper).filter(|(l, u)| l != u).count();
-
-        let mut engine = Engine {
-            min_activity: vec![0; rows.len()],
+        // With every variable free, a row sits at its minimum when each
+        // negative term is 1 and each positive term is 0.
+        let min_activity = rows
+            .iter()
+            .map(|row| {
+                row.terms
+                    .iter()
+                    .map(|&(_, coeff)| i128::from(coeff.min(0)))
+                    .sum()
+            })
+            .collect();
+        Ok(Engine {
+            min_activity,
             in_queue: vec![false; rows.len()],
             rows,
-            lower_watches,
-            upper_watches,
-            lower,
-            upper,
+            watches,
+            values: vec![None; num_vars],
             trail: Vec::new(),
             level_marks: Vec::new(),
             queue: VecDeque::new(),
-            unfixed,
+            unfixed: num_vars,
             propagations: 0,
-        };
-        for row_idx in 0..engine.rows.len() {
-            engine.min_activity[row_idx] = engine.compute_min_activity(row_idx);
-        }
-        Ok(engine)
+        })
     }
 
-    fn compute_min_activity(&self, row_idx: usize) -> i128 {
-        self.rows[row_idx]
-            .terms
-            .iter()
-            .map(|&(var, coeff)| {
-                let bound = if coeff > 0 {
-                    self.lower[var]
-                } else {
-                    self.upper[var]
-                };
-                i128::from(coeff) * i128::from(bound)
-            })
-            .sum()
+    /// The value a variable is fixed to, or `None` while it is free.
+    pub fn value(&self, var: usize) -> Option<bool> {
+        self.values[var]
     }
 
-    /// Current lower bound of a variable.
-    pub fn lower(&self, var: usize) -> i64 {
-        self.lower[var]
-    }
-
-    /// Current upper bound of a variable.
-    pub fn upper(&self, var: usize) -> i64 {
-        self.upper[var]
-    }
-
-    /// Whether the variable is fixed (lower == upper).
+    /// Whether the variable is fixed.
     pub fn is_fixed(&self, var: usize) -> bool {
-        self.lower[var] == self.upper[var]
+        self.values[var].is_some()
     }
 
     /// Whether every variable is fixed.
@@ -228,14 +180,17 @@ impl Engine {
     }
 
     /// The current assignment (meaningful when [`Engine::all_fixed`] holds;
-    /// otherwise returns the lower bounds).
+    /// otherwise free variables read 0).
     pub fn assignment(&self) -> Vec<i64> {
-        self.lower.clone()
+        self.values
+            .iter()
+            .map(|&value| i64::from(value == Some(true)))
+            .collect()
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.lower.len()
+        self.values.len()
     }
 
     /// Opens a new decision level.
@@ -243,33 +198,19 @@ impl Engine {
         self.level_marks.push(self.trail.len());
     }
 
-    /// Undoes every bound change made since the matching [`Engine::push_level`].
+    /// Frees every variable fixed since the matching [`Engine::push_level`].
     pub fn pop_level(&mut self) {
         let mark = self
             .level_marks
             .pop()
             .expect("pop_level without matching push_level");
-        while self.trail.len() > mark {
-            let entry = self.trail.pop().expect("trail length checked");
-            match entry {
-                TrailEntry::Lower { var, old } => {
-                    // Undone in reverse, so the bounds are those just after
-                    // this change: a fixed variable becomes free again.
-                    self.unfixed += usize::from(self.is_fixed(var));
-                    let delta = i128::from(self.lower[var] - old);
-                    for watch in &self.lower_watches[var] {
-                        self.min_activity[watch.row as usize] -= i128::from(watch.coeff) * delta;
-                    }
-                    self.lower[var] = old;
-                }
-                TrailEntry::Upper { var, old } => {
-                    self.unfixed += usize::from(self.is_fixed(var));
-                    let delta = i128::from(self.upper[var] - old);
-                    for watch in &self.upper_watches[var] {
-                        self.min_activity[watch.row as usize] -= i128::from(watch.coeff) * delta;
-                    }
-                    self.upper[var] = old;
-                }
+        for var in self.trail.drain(mark..).rev() {
+            let value = self.values[var]
+                .take()
+                .expect("a trailed variable is fixed");
+            self.unfixed += 1;
+            for watch in &self.watches[literal(var, value)] {
+                self.min_activity[watch.row as usize] -= i128::from(watch.weight);
             }
         }
         for row in self.queue.drain(..) {
@@ -277,63 +218,36 @@ impl Engine {
         }
     }
 
-    /// Tightens the lower bound of a variable, recording the change on the
-    /// trail and waking exactly the rows watching the event.
-    pub fn set_lower(&mut self, var: usize, value: i64) -> Result<(), Conflict> {
-        if value <= self.lower[var] {
-            return Ok(());
+    /// Fixes a variable to a value. Fixing it to the value it already holds
+    /// changes nothing; fixing it to the other value is a conflict.
+    pub fn fix(&mut self, var: usize, value: bool) -> Result<(), Conflict> {
+        match self.values[var] {
+            None => {
+                self.assign(var, value);
+                Ok(())
+            }
+            Some(held) if held == value => Ok(()),
+            Some(_) => Err(Conflict),
         }
-        if value > self.upper[var] {
-            return Err(Conflict);
-        }
-        let old = self.lower[var];
-        self.trail.push(TrailEntry::Lower { var, old });
-        let delta = i128::from(value - old);
-        self.lower[var] = value;
-        self.unfixed -= usize::from(value == self.upper[var]);
+    }
+
+    /// Fixes a free variable, recording it on the trail and waking exactly
+    /// the rows watching the literal.
+    fn assign(&mut self, var: usize, value: bool) {
+        self.values[var] = Some(value);
+        self.trail.push(var);
+        self.unfixed -= 1;
         self.propagations += 1;
-        for watch_idx in 0..self.lower_watches[var].len() {
-            let watch = self.lower_watches[var][watch_idx];
+        let lit = literal(var, value);
+        for watch_idx in 0..self.watches[lit].len() {
+            let watch = self.watches[lit][watch_idx];
             let row = watch.row as usize;
-            self.min_activity[row] += i128::from(watch.coeff) * delta;
+            self.min_activity[row] += i128::from(watch.weight);
             if !self.in_queue[row] {
                 self.in_queue[row] = true;
                 self.queue.push_back(row);
             }
         }
-        Ok(())
-    }
-
-    /// Tightens the upper bound of a variable.
-    pub fn set_upper(&mut self, var: usize, value: i64) -> Result<(), Conflict> {
-        if value >= self.upper[var] {
-            return Ok(());
-        }
-        if value < self.lower[var] {
-            return Err(Conflict);
-        }
-        let old = self.upper[var];
-        self.trail.push(TrailEntry::Upper { var, old });
-        let delta = i128::from(value - old);
-        self.upper[var] = value;
-        self.unfixed -= usize::from(value == self.lower[var]);
-        self.propagations += 1;
-        for watch_idx in 0..self.upper_watches[var].len() {
-            let watch = self.upper_watches[var][watch_idx];
-            let row = watch.row as usize;
-            self.min_activity[row] += i128::from(watch.coeff) * delta;
-            if !self.in_queue[row] {
-                self.in_queue[row] = true;
-                self.queue.push_back(row);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fixes a variable to a value.
-    pub fn fix(&mut self, var: usize, value: i64) -> Result<(), Conflict> {
-        self.set_lower(var, value)?;
-        self.set_upper(var, value)
     }
 
     /// Schedules every row for propagation (used once at the root).
@@ -346,7 +260,7 @@ impl Engine {
         }
     }
 
-    /// Runs bound propagation to a fixpoint.
+    /// Runs propagation to a fixpoint.
     pub fn propagate(&mut self) -> Result<(), Conflict> {
         while let Some(row_idx) = self.queue.pop_front() {
             self.in_queue[row_idx] = false;
@@ -356,40 +270,20 @@ impl Engine {
     }
 
     fn propagate_row(&mut self, row_idx: usize) -> Result<(), Conflict> {
-        let min_activity = self.min_activity[row_idx];
-        let rhs = self.rows[row_idx].rhs;
-        if min_activity > rhs {
+        let slack = self.rows[row_idx].rhs - self.min_activity[row_idx];
+        if slack < 0 {
             return Err(Conflict);
         }
-        if rhs - min_activity >= self.rows[row_idx].reach {
+        if slack >= self.rows[row_idx].reach {
             return Ok(());
         }
-        // For each term, the slack available once the rest of the row sits at
-        // its minimum determines how large (or small) the variable may be.
+        // Setting a term against the row raises its activity by the term's
+        // weight, so a free term heavier than the slack must keep the row at
+        // its minimum. That fixing never wakes this row, and the slack stays.
         for term in 0..self.rows[row_idx].terms.len() {
             let (var, coeff) = self.rows[row_idx].terms[term];
-            if coeff == 0 || self.is_fixed(var) {
-                continue;
-            }
-            let coeff_i = i128::from(coeff);
-            let contribution = if coeff > 0 {
-                coeff_i * i128::from(self.lower[var])
-            } else {
-                coeff_i * i128::from(self.upper[var])
-            };
-            let slack = rhs - (min_activity - contribution);
-            if coeff > 0 {
-                let bound = floor_div(slack, coeff_i);
-                if bound < i128::from(self.upper[var]) {
-                    let bound = i64::try_from(bound.max(i128::from(i64::MIN))).unwrap_or(i64::MIN);
-                    self.set_upper(var, bound)?;
-                }
-            } else {
-                let bound = ceil_div(slack, coeff_i);
-                if bound > i128::from(self.lower[var]) {
-                    let bound = i64::try_from(bound.min(i128::from(i64::MAX))).unwrap_or(i64::MAX);
-                    self.set_lower(var, bound)?;
-                }
+            if self.values[var].is_none() && i128::from(coeff.unsigned_abs()) > slack {
+                self.assign(var, coeff < 0);
             }
         }
         Ok(())
@@ -401,48 +295,46 @@ mod tests {
     use super::*;
     use crate::model::{Cmp, LinExpr, Model};
 
+    /// x + y = 1, 3x − 2z ≤ 1 (so x = 1 forces z = 1), and 2w ≤ 1 (so
+    /// w = 0 at the root).
     fn simple_model() -> (Model, Vec<crate::model::VarId>) {
         let mut model = Model::new();
         let x = model.add_binary("x");
         let y = model.add_binary("y");
-        let z = model.add_integer("z", 0, 10);
+        let z = model.add_binary("z");
+        let w = model.add_binary("w");
         model.add_constraint("sum", LinExpr::new().plus(1, x).plus(1, y), Cmp::Eq, 1);
-        model.add_constraint("link", LinExpr::new().plus(5, x).plus(-1, z), Cmp::Le, 0);
-        model.add_constraint("cap", LinExpr::var(z), Cmp::Le, 7);
-        (model, vec![x, y, z])
-    }
-
-    #[test]
-    fn floor_and_ceil_division() {
-        assert_eq!(floor_div(7, 2), 3);
-        assert_eq!(floor_div(-7, 2), -4);
-        assert_eq!(floor_div(7, -2), -4);
-        assert_eq!(ceil_div(7, 2), 4);
-        assert_eq!(ceil_div(-7, 2), -3);
-        assert_eq!(ceil_div(-7, -2), 4);
+        model.add_constraint("link", LinExpr::new().plus(3, x).plus(-2, z), Cmp::Le, 1);
+        model.add_constraint("cap", LinExpr::new().plus(2, w), Cmp::Le, 1);
+        (model, vec![x, y, z, w])
     }
 
     #[test]
     fn propagation_tightens_bounds() {
         let (model, vars) = simple_model();
+        let value = |engine: &Engine, var: usize| engine.value(vars[var].index());
         let mut engine = Engine::new(&model).unwrap();
         engine.schedule_all();
         engine.propagate().unwrap();
-        // z ≤ 7 from the cap constraint.
-        assert_eq!(engine.upper(vars[2].index()), 7);
+        // w = 0 from the cap constraint; nothing else is forced.
+        assert_eq!(value(&engine, 3), Some(false));
+        assert_eq!(value(&engine, 2), None);
 
-        // Fixing x = 1 forces y = 0 (sum) and z ≥ 5 (link).
+        // Fixing x = 1 forces y = 0 (sum) and z = 1 (link).
         engine.push_level();
-        engine.fix(vars[0].index(), 1).unwrap();
+        engine.fix(vars[0].index(), true).unwrap();
         engine.propagate().unwrap();
-        assert_eq!(engine.upper(vars[1].index()), 0);
-        assert_eq!(engine.lower(vars[2].index()), 5);
+        assert_eq!(value(&engine, 1), Some(false));
+        assert_eq!(value(&engine, 2), Some(true));
+        assert!(engine.all_fixed());
+        assert_eq!(engine.assignment(), vec![1, 0, 1, 0]);
 
-        // Backtracking restores the original bounds.
+        // Backtracking frees them again and keeps the root fixing.
         engine.pop_level();
-        assert_eq!(engine.lower(vars[2].index()), 0);
-        assert_eq!(engine.upper(vars[1].index()), 1);
+        assert_eq!(value(&engine, 2), None);
+        assert_eq!(value(&engine, 1), None);
         assert!(!engine.is_fixed(vars[0].index()));
+        assert_eq!(value(&engine, 3), Some(false));
     }
 
     #[test]
@@ -458,29 +350,46 @@ mod tests {
         assert!(engine.propagate().is_err());
     }
 
+    /// Fixing a variable to the value it already holds is a no-op, and
+    /// fixing it to the other value is a conflict.
     #[test]
     fn fixing_outside_bounds_is_a_conflict() {
         let (model, vars) = simple_model();
         let mut engine = Engine::new(&model).unwrap();
-        assert!(engine.fix(vars[0].index(), 2).is_err());
+        let x = vars[0].index();
+        engine.fix(x, true).unwrap();
+        let (propagations, queued) = (engine.propagations, engine.queue.len());
+        assert_eq!(engine.fix(x, true), Ok(()));
+        assert_eq!(
+            (engine.propagations, engine.queue.len(), engine.trail.len()),
+            (propagations, queued, 1)
+        );
+        assert_eq!(engine.fix(x, false), Err(Conflict));
+        assert_eq!(engine.value(x), Some(true));
     }
 
+    /// 2x + y + z = 2: x = 1 forces y = z = 0 through the ≤ row, and x = 0
+    /// forces y = z = 1 through the ≥ row.
     #[test]
     fn equality_rows_propagate_both_directions() {
         let mut model = Model::new();
-        let x = model.add_integer("x", 0, 10);
-        let y = model.add_integer("y", 0, 10);
-        model.add_constraint("eq", LinExpr::new().plus(1, x).plus(1, y), Cmp::Eq, 4);
+        let x = model.add_binary("x");
+        let y = model.add_binary("y");
+        let z = model.add_binary("z");
+        let expr = LinExpr::new().plus(2, x).plus(1, y).plus(1, z);
+        model.add_constraint("eq", expr, Cmp::Eq, 2);
         let mut engine = Engine::new(&model).unwrap();
         engine.schedule_all();
         engine.propagate().unwrap();
-        assert_eq!(engine.upper(x.index()), 4);
-        assert_eq!(engine.upper(y.index()), 4);
-        engine.push_level();
-        engine.fix(x.index(), 3).unwrap();
-        engine.propagate().unwrap();
-        assert_eq!(engine.lower(y.index()), 1);
-        assert_eq!(engine.upper(y.index()), 1);
+        assert_eq!(engine.value(y.index()), None);
+        for (x_value, rest) in [(true, false), (false, true)] {
+            engine.push_level();
+            engine.fix(x.index(), x_value).unwrap();
+            engine.propagate().unwrap();
+            assert_eq!(engine.value(y.index()), Some(rest));
+            assert_eq!(engine.value(z.index()), Some(rest));
+            engine.pop_level();
+        }
     }
 
     #[test]
@@ -507,28 +416,29 @@ mod tests {
         ));
     }
 
-    /// Events only wake rows the bound change can actually tighten: a
-    /// raised lower bound must not wake a row holding the variable with a
-    /// negative coefficient.
+    /// Fixings only wake rows they can push toward a conflict: fixing a
+    /// variable the row holds with a negative coefficient to 1 leaves the
+    /// row at its minimum and must not wake it.
     #[test]
     fn events_wake_only_affected_rows() {
         let mut model = Model::new();
-        let x = model.add_integer("x", 0, 10);
-        let y = model.add_integer("y", 0, 10);
-        // y - x ≤ 5: watches lower(y) and upper(x), NOT lower(x).
-        model.add_constraint("row", LinExpr::new().plus(1, y).plus(-1, x), Cmp::Le, 5);
+        let x = model.add_binary("x");
+        let y = model.add_binary("y");
+        // y − x ≤ 0: watches (y, 1) and (x, 0), NOT (x, 1).
+        model.add_constraint("row", LinExpr::new().plus(1, y).plus(-1, x), Cmp::Le, 0);
         let mut engine = Engine::new(&model).unwrap();
         engine.schedule_all();
         engine.propagate().unwrap();
-        // Raising lower(x) cannot tighten the row; no wake, queue stays empty.
-        engine.set_lower(x.index(), 3).unwrap();
+        // x = 1 cannot force anything from the row; no wake, queue stays empty.
+        engine.push_level();
+        engine.fix(x.index(), true).unwrap();
         assert!(engine.queue.is_empty());
-        // Lowering upper(x) raises min activity and wakes the row, which
-        // tightens upper(y) to 9.
-        engine.set_upper(x.index(), 4).unwrap();
+        engine.pop_level();
+        // x = 0 raises the min activity and wakes the row, which fixes y = 0.
+        engine.fix(x.index(), false).unwrap();
         assert!(!engine.queue.is_empty());
         engine.propagate().unwrap();
-        assert_eq!(engine.upper(y.index()), 9);
+        assert_eq!(engine.value(y.index()), Some(false));
     }
 
     /// Backtracking through the watcher lists restores exact activities:
@@ -542,7 +452,7 @@ mod tests {
         let baseline = engine.min_activity.clone();
         for round in 0..3 {
             engine.push_level();
-            let _ = engine.fix(vars[round % 2].index(), 1);
+            let _ = engine.fix(vars[round % 2].index(), true);
             let _ = engine.propagate();
             engine.pop_level();
             assert_eq!(engine.min_activity, baseline, "round {round}");

@@ -13,9 +13,6 @@ pub enum IlpError {
         /// Number of variables in the model.
         num_vars: usize,
     },
-    /// Coefficients are large enough that activity computations could
-    /// overflow. The offending constraint is named.
-    CoefficientOverflow(String),
 }
 
 impl fmt::Display for IlpError {
@@ -26,9 +23,6 @@ impl fmt::Display for IlpError {
                     f,
                     "variable index {index} out of range (model has {num_vars} variables)"
                 )
-            }
-            IlpError::CoefficientOverflow(name) => {
-                write!(f, "coefficients of constraint '{name}' risk overflow")
             }
         }
     }

@@ -1,6 +1,6 @@
 //! # strudel-ilp
 //!
-//! A pure-Rust 0-1 / bounded-integer linear programming solver, built as the
+//! A pure-Rust 0-1 linear programming solver, built as the
 //! stand-in for the commercial ILP solver (IBM ILOG CPLEX) used by
 //! *"A Principled Approach to Bridging the Gap between Graph Data and their
 //! Schemas"* (Arenas et al., VLDB 2014) to solve its sort-refinement
@@ -13,15 +13,15 @@
 //!
 //! Components:
 //!
-//! * [`model`] — model builder: bounded integer variables, linear
-//!   constraints, *decision groups* (branching hints for
-//!   assignment-shaped problems such as the paper's `X_{i,µ}` variables),
+//! * [`model`] — model builder: 0/1 variables, linear constraints,
+//!   *decision groups* (branching hints for assignment-shaped problems
+//!   such as the paper's `X_{i,µ}` variables),
 //!   and the declaration that the groups' members are interchangeable
 //!   labels, whose symmetry the search breaks by value precedence,
 //! * [`presolve`] — cheap solution-preserving reductions,
-//! * [`engine`] — normalized rows, backtrackable bounds, and event-driven
-//!   integer bound propagation (rows watch the bound events that can raise
-//!   their minimum activity),
+//! * [`engine`] — normalized rows, a backtrackable 0/1 assignment, and
+//!   event-driven propagation (rows watch the fixings that can raise their
+//!   minimum activity),
 //! * [`search`] — the depth-first search loop, and [`search::WarmStart`]
 //!   hints from prior solutions that reorder the values it tries,
 //! * [`solver`] — the facade: configuration, `solve`, and `solve_with_hint`.
@@ -58,7 +58,7 @@ pub mod solver;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::error::IlpError;
-    pub use crate::model::{Cmp, Constraint, LinExpr, Model, VarDef, VarId};
+    pub use crate::model::{Cmp, Constraint, LinExpr, Model, VarId};
     pub use crate::presolve::{presolve, PresolveReport};
     pub use crate::search::WarmStart;
     pub use crate::solution::{SolveResult, SolveStats, SolveStatus};

@@ -1,12 +1,12 @@
-//! Model-building API for (mixed) integer linear programs.
+//! Model-building API for 0/1 linear programs.
 //!
 //! The paper solves the sort-refinement decision problem by handing an ILP
 //! instance `(A, b)` over 0/1 variables to a commercial solver (CPLEX). This
 //! crate is the stand-in for that solver, so the model layer stays close to
-//! what such solvers accept: integer variables with bounds and linear
-//! constraints with `≤ / ≥ / =` comparisons, plus *decision groups* — a
-//! branching hint declaring that a set of binary variables encodes a single
-//! "pick one of k" decision (the `X_{i,µ}` variables of the encoding), and
+//! what such solvers accept: 0/1 variables and linear constraints with
+//! `≤ / ≥ / =` comparisons, plus *decision groups* — a branching hint
+//! declaring that a set of binary variables encodes a single "pick one of
+//! k" decision (the `X_{i,µ}` variables of the encoding), and
 //! the declaration that those k choices are interchangeable labels (the
 //! implicit sorts). The paper's instances only ask whether a feasible
 //! assignment exists, so a model has no objective.
@@ -24,32 +24,12 @@ impl VarId {
     }
 }
 
-/// Definition of a single integer variable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VarDef {
-    /// Human-readable name used in debugging output.
-    pub name: String,
-    /// Inclusive lower bound.
-    pub lower: i64,
-    /// Inclusive upper bound.
-    pub upper: i64,
-}
-
-impl VarDef {
-    /// Whether the variable is binary (bounds within {0, 1}).
-    pub fn is_binary(&self) -> bool {
-        self.lower >= 0 && self.upper <= 1
-    }
-}
-
-/// A linear expression `Σ coeff · var + constant` with integer coefficients.
+/// A linear expression `Σ coeff · var` with integer coefficients.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct LinExpr {
     /// The (variable, coefficient) terms. May contain repeated variables;
     /// [`LinExpr::normalize`] merges them.
     pub terms: Vec<(VarId, i64)>,
-    /// The constant offset.
-    pub constant: i64,
 }
 
 impl LinExpr {
@@ -62,19 +42,12 @@ impl LinExpr {
     pub fn var(var: VarId) -> Self {
         LinExpr {
             terms: vec![(var, 1)],
-            constant: 0,
         }
     }
 
     /// Adds `coeff · var` to the expression (builder style).
     pub fn plus(mut self, coeff: i64, var: VarId) -> Self {
         self.terms.push((var, coeff));
-        self
-    }
-
-    /// Adds a constant to the expression (builder style).
-    pub fn plus_const(mut self, value: i64) -> Self {
-        self.constant += value;
         self
     }
 
@@ -99,11 +72,10 @@ impl LinExpr {
 
     /// Evaluates the expression under an assignment of variable values.
     pub fn evaluate(&self, values: &[i64]) -> i128 {
-        let mut total = i128::from(self.constant);
-        for &(var, coeff) in &self.terms {
-            total += i128::from(coeff) * i128::from(values[var.index()]);
-        }
-        total
+        self.terms
+            .iter()
+            .map(|&(var, coeff)| i128::from(coeff) * i128::from(values[var.index()]))
+            .sum()
     }
 }
 
@@ -154,10 +126,11 @@ impl Constraint {
     }
 }
 
-/// An integer linear program.
+/// A 0/1 linear program.
 #[derive(Clone, Default, Debug)]
 pub struct Model {
-    pub(crate) vars: Vec<VarDef>,
+    /// The variables' names, for diagnostics.
+    pub(crate) names: Vec<String>,
     pub(crate) constraints: Vec<Constraint>,
     pub(crate) decision_groups: Vec<Vec<VarId>>,
     pub(crate) interchangeable_labels: bool,
@@ -171,21 +144,8 @@ impl Model {
 
     /// Adds a binary (0/1) variable.
     pub fn add_binary(&mut self, name: impl Into<String>) -> VarId {
-        self.add_integer(name, 0, 1)
-    }
-
-    /// Adds a bounded integer variable.
-    ///
-    /// # Panics
-    /// Panics if `lower > upper`.
-    pub fn add_integer(&mut self, name: impl Into<String>, lower: i64, upper: i64) -> VarId {
-        assert!(lower <= upper, "variable bounds are inverted");
-        let id = VarId(self.vars.len());
-        self.vars.push(VarDef {
-            name: name.into(),
-            lower,
-            upper,
-        });
+        let id = VarId(self.names.len());
+        self.names.push(name.into());
         id
     }
 
@@ -243,17 +203,12 @@ impl Model {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.names.len()
     }
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// The variable definitions.
-    pub fn vars(&self) -> &[VarDef] {
-        &self.vars
     }
 
     /// The constraints.
@@ -267,21 +222,19 @@ impl Model {
     }
 
     /// Checks a full assignment against every constraint, returning the name
-    /// (or index) of the first violated constraint.
+    /// (or index) of the first violated constraint. A value other than 0 or
+    /// 1 is refused first.
     pub fn check_assignment(&self, values: &[i64]) -> Result<(), String> {
-        if values.len() != self.vars.len() {
+        if values.len() != self.names.len() {
             return Err(format!(
                 "assignment has {} values for {} variables",
                 values.len(),
-                self.vars.len()
+                self.names.len()
             ));
         }
-        for (idx, (def, &value)) in self.vars.iter().zip(values).enumerate() {
-            if value < def.lower || value > def.upper {
-                return Err(format!(
-                    "variable {} ('{}') = {} violates bounds [{}, {}]",
-                    idx, def.name, value, def.lower, def.upper
-                ));
+        for (idx, (name, &value)) in self.names.iter().zip(values).enumerate() {
+            if !(0..=1).contains(&value) {
+                return Err(format!("variable {idx} ('{name}') = {value} is not 0 or 1"));
             }
         }
         for (idx, constraint) in self.constraints.iter().enumerate() {
@@ -314,63 +267,53 @@ mod tests {
     fn evaluate_and_check_assignment() {
         let mut model = Model::new();
         let x = model.add_binary("x");
-        let y = model.add_integer("y", 0, 5);
-        model.add_constraint("cap", LinExpr::new().plus(2, x).plus(1, y), Cmp::Le, 4);
+        let y = model.add_binary("y");
+        model.add_constraint("cap", LinExpr::new().plus(2, x).plus(1, y), Cmp::Le, 2);
         model.add_constraint("at_least", LinExpr::var(y), Cmp::Ge, 1);
 
-        assert!(model.check_assignment(&[1, 2]).is_ok());
-        assert_eq!(model.check_assignment(&[1, 3]).unwrap_err(), "cap");
-        assert!(model
-            .check_assignment(&[0, 9])
-            .unwrap_err()
-            .contains("bounds"));
+        assert!(model.check_assignment(&[0, 1]).is_ok());
+        assert_eq!(model.check_assignment(&[1, 1]).unwrap_err(), "cap");
+        assert_eq!(model.check_assignment(&[1, 0]).unwrap_err(), "at_least");
+        // A value other than 0 or 1 is refused, even where every row holds.
+        for value in [2, -1] {
+            assert_eq!(
+                model.check_assignment(&[0, value]).unwrap_err(),
+                format!("variable 1 ('y') = {value} is not 0 or 1")
+            );
+        }
         assert!(model.check_assignment(&[0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds are inverted")]
-    fn inverted_bounds_panic() {
-        Model::new().add_integer("x", 3, 1);
-    }
-
-    #[test]
-    fn binary_detection() {
-        let mut model = Model::new();
-        let x = model.add_binary("x");
-        let y = model.add_integer("y", 0, 3);
-        assert!(model.vars()[x.index()].is_binary());
-        assert!(!model.vars()[y.index()].is_binary());
     }
 
     #[test]
     fn constraint_satisfaction_per_operator() {
         let mut model = Model::new();
-        let x = model.add_integer("x", 0, 10);
-        let expr = LinExpr::var(x);
+        let x = model.add_binary("x");
+        let y = model.add_binary("y");
+        let expr = LinExpr::new().plus(1, x).plus(1, y);
         let le = Constraint {
             name: None,
             expr: expr.clone(),
             cmp: Cmp::Le,
-            rhs: 5,
+            rhs: 1,
         };
         let ge = Constraint {
             name: None,
             expr: expr.clone(),
             cmp: Cmp::Ge,
-            rhs: 5,
+            rhs: 1,
         };
         let eq = Constraint {
             name: None,
             expr,
             cmp: Cmp::Eq,
-            rhs: 5,
+            rhs: 1,
         };
-        assert!(le.is_satisfied(&[5]));
-        assert!(!le.is_satisfied(&[6]));
-        assert!(ge.is_satisfied(&[5]));
-        assert!(!ge.is_satisfied(&[4]));
-        assert!(eq.is_satisfied(&[5]));
-        assert!(!eq.is_satisfied(&[4]));
+        assert!(le.is_satisfied(&[0, 1]));
+        assert!(!le.is_satisfied(&[1, 1]));
+        assert!(ge.is_satisfied(&[1, 0]));
+        assert!(!ge.is_satisfied(&[0, 0]));
+        assert!(eq.is_satisfied(&[0, 1]));
+        assert!(!eq.is_satisfied(&[1, 1]));
     }
 
     #[test]

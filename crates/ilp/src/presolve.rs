@@ -2,21 +2,19 @@
 //!
 //! The sort-refinement encodings contain many constraints that become
 //! trivially satisfied once the instance data is known (e.g. linking rows for
-//! rough assignments whose signatures can never co-exist) and variables whose
-//! bounds are already equal. Removing them up front shrinks the propagation
-//! working set without changing the set of solutions.
+//! rough assignments whose signatures can never co-exist). Removing them up
+//! front shrinks the propagation working set without changing the set of
+//! solutions.
 
-use crate::model::{Cmp, Constraint, Model, VarDef};
+use crate::model::{Cmp, Constraint, Model};
 
 /// A report of the reductions performed by [`presolve`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PresolveReport {
-    /// Constraints removed because they can never be violated within bounds.
+    /// Constraints removed because no 0/1 assignment violates them.
     pub redundant_constraints: usize,
-    /// Constraints detected as impossible to satisfy within bounds.
+    /// Constraints that no 0/1 assignment satisfies.
     pub infeasible_constraints: usize,
-    /// Variables whose bounds were already fixed.
-    pub fixed_variables: usize,
 }
 
 impl PresolveReport {
@@ -26,38 +24,29 @@ impl PresolveReport {
     }
 }
 
-/// Extreme activities of a constraint expression under the variable bounds.
-fn activity_range(vars: &[VarDef], constraint: &Constraint) -> (i128, i128) {
-    let mut min_activity = i128::from(constraint.expr.constant);
-    let mut max_activity = i128::from(constraint.expr.constant);
-    for &(var, coeff) in &constraint.expr.terms {
-        let def = &vars[var.index()];
+/// Extreme activities of a constraint expression over 0/1 assignments: each
+/// term adds its coefficient to one end of the range and 0 to the other.
+fn activity_range(constraint: &Constraint) -> (i128, i128) {
+    let mut min_activity = 0;
+    let mut max_activity = 0;
+    for &(_, coeff) in &constraint.expr.terms {
         let coeff = i128::from(coeff);
-        let low = coeff * i128::from(def.lower);
-        let high = coeff * i128::from(def.upper);
-        min_activity += low.min(high);
-        max_activity += low.max(high);
+        min_activity += coeff.min(0);
+        max_activity += coeff.max(0);
     }
     (min_activity, max_activity)
 }
 
 /// Simplifies the model in place and reports what was done.
 ///
-/// The transformation is solution-preserving: only constraints that cannot be
-/// violated by any assignment within the variable bounds are dropped.
+/// The transformation is solution-preserving: only constraints that no 0/1
+/// assignment violates are dropped.
 pub fn presolve(model: &mut Model) -> PresolveReport {
-    let mut report = PresolveReport {
-        fixed_variables: model
-            .vars()
-            .iter()
-            .filter(|def| def.lower == def.upper)
-            .count(),
-        ..PresolveReport::default()
-    };
+    let mut report = PresolveReport::default();
 
     let mut kept = Vec::with_capacity(model.constraints.len());
     for constraint in model.constraints.drain(..) {
-        let (min_activity, max_activity) = activity_range(&model.vars, &constraint);
+        let (min_activity, max_activity) = activity_range(&constraint);
         let rhs = i128::from(constraint.rhs);
         let (redundant, infeasible) = match constraint.cmp {
             Cmp::Le => (max_activity <= rhs, min_activity > rhs),
@@ -115,15 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_fixed_variables() {
-        let mut model = Model::new();
-        model.add_integer("fixed", 3, 3);
-        model.add_binary("free");
-        let report = presolve(&mut model);
-        assert_eq!(report.fixed_variables, 1);
-    }
-
-    #[test]
     fn presolve_preserves_the_solution_set() {
         // Build a model, solve it, presolve, solve again: identical outcome.
         let mut model = Model::new();
@@ -158,23 +138,28 @@ mod tests {
         assert_eq!(before.solution, after.solution);
     }
 
+    /// An equality is redundant only when its range is the single point
+    /// `rhs`: `x − x = 0` normalizes to the empty sum and goes, while
+    /// `x = 0` stays although its range ends at the right-hand side.
     #[test]
     fn equality_redundancy_requires_exact_range() {
         let mut model = Model::new();
-        let x = model.add_integer("x", 2, 2);
-        model.add_constraint("pin", LinExpr::var(x), Cmp::Eq, 2);
+        let x = model.add_binary("x");
+        model.add_constraint("empty", LinExpr::new().plus(1, x).plus(-1, x), Cmp::Eq, 0);
+        model.add_constraint("pin", LinExpr::var(x), Cmp::Eq, 0);
         let report = presolve(&mut model);
         assert_eq!(report.redundant_constraints, 1);
-        assert_eq!(model.num_constraints(), 0);
+        assert_eq!(model.constraints()[0].name.as_deref(), Some("pin"));
     }
 
     #[test]
     fn activity_range_spans_the_bounds() {
         let mut model = Model::new();
-        let x = model.add_integer("x", -2, 3);
-        model.add_constraint("c", LinExpr::new().plus(2, x).plus_const(1), Cmp::Le, 100);
-        let (low, high) = activity_range(model.vars(), &model.constraints()[0]);
-        assert_eq!(low, -3);
-        assert_eq!(high, 7);
+        let x = model.add_binary("x");
+        let y = model.add_binary("y");
+        let z = model.add_binary("z");
+        let expr = LinExpr::new().plus(2, x).plus(-3, y).plus(4, z);
+        model.add_constraint("c", expr, Cmp::Le, 100);
+        assert_eq!(activity_range(&model.constraints()[0]), (-3, 6));
     }
 }

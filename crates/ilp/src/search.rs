@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use crate::brancher::{self, BranchChoice};
-use crate::engine::{Conflict, Engine};
+use crate::engine::Engine;
 use crate::error::IlpError;
 use crate::model::{Model, VarId};
 use crate::solution::{SolveResult, SolveStats, SolveStatus};
@@ -163,10 +163,9 @@ impl SearchState<'_> {
     /// Moves the hinted alternative (if any) to the front, preserving the
     /// order of the rest. Only value order changes — never the set.
     fn apply_hint_order(&self, choices: &mut [BranchChoice]) {
-        let hinted = choices.iter().position(|choice| match *choice {
-            BranchChoice::Fix { var, value } => self.preferred[var] == Some(value),
-            _ => false,
-        });
+        let hinted = choices
+            .iter()
+            .position(|choice| self.preferred[choice.var] == Some(i64::from(choice.value)));
         if let Some(index) = hinted {
             choices[..=index].rotate_right(1);
         }
@@ -189,10 +188,11 @@ impl SearchState<'_> {
 
         let mut choices = brancher::choose(&self.engine, self.model);
         self.apply_hint_order(&mut choices);
-        for value_choice in choices {
+        for choice in choices {
             self.engine.push_level();
             let feasible = self
-                .apply_choice(&value_choice)
+                .engine
+                .fix(choice.var, choice.value)
                 .and_then(|()| self.engine.propagate())
                 .is_ok();
             self.conflicts += u64::from(!feasible);
@@ -203,14 +203,6 @@ impl SearchState<'_> {
             }
         }
         false
-    }
-
-    fn apply_choice(&mut self, choice: &BranchChoice) -> Result<(), Conflict> {
-        match *choice {
-            BranchChoice::Fix { var, value } => self.engine.fix(var, value),
-            BranchChoice::UpperAtMost { var, value } => self.engine.set_upper(var, value),
-            BranchChoice::LowerAtLeast { var, value } => self.engine.set_lower(var, value),
-        }
     }
 }
 

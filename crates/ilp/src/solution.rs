@@ -25,22 +25,12 @@ pub struct SolveResult {
     pub stats: SolveStats,
 }
 
-impl SolveResult {
-    /// The value of a variable in the solution.
-    ///
-    /// # Panics
-    /// Panics if no solution is available.
-    pub fn value(&self, var: crate::model::VarId) -> i64 {
-        self.solution.as_ref().expect("no solution available")[var.index()]
-    }
-}
-
 /// Statistics accumulated during the search.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SolveStats {
     /// Number of search nodes explored.
     pub nodes: u64,
-    /// Number of individual bound tightenings performed by propagation.
+    /// Number of variables fixed, by branching decisions and by propagation.
     pub propagations: u64,
     /// Number of conflicts (pruned subtrees).
     pub conflicts: u64,
@@ -82,16 +72,5 @@ mod tests {
             assert_eq!(result.status, status);
             assert_eq!(result.solution.is_some(), status == SolveStatus::Feasible);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no solution available")]
-    fn value_panics_without_solution() {
-        let result = SolveResult {
-            status: SolveStatus::Infeasible,
-            solution: None,
-            stats: SolveStats::default(),
-        };
-        result.value(crate::model::VarId(0));
     }
 }

@@ -6,9 +6,9 @@
 //! implied by the `X_{i,µ}` assignment variables, so the search only needs to
 //! *branch* on the declared decision groups (one group per signature, one
 //! member per candidate implicit sort) and let propagation fix everything
-//! else. Models without decision groups fall back to binary/interval
-//! branching. Every model is a feasibility question: the solve stops at the
-//! first assignment that satisfies every constraint.
+//! else. Models without decision groups fall back to branching on the first
+//! free variable, 1 before 0. Every model is a feasibility question: the
+//! solve stops at the first assignment that satisfies every constraint.
 
 use std::time::Duration;
 
@@ -146,31 +146,6 @@ mod tests {
         assert_eq!(result.solution.unwrap(), vec![1, 1, 0, 0]);
         let result = Solver::new().solve(&knapsack(8)).unwrap();
         assert_eq!(result.status, SolveStatus::Infeasible);
-    }
-
-    /// The minimum of x + y subject to x + 2y ≥ 7, x, y ∈ [0, 5] is 4:
-    /// bisecting the integer ranges reaches it and refutes 3.
-    #[test]
-    fn minimizes_with_integer_ranges() {
-        let at_most = |total: i64| {
-            let mut model = Model::new();
-            let x = model.add_integer("x", 0, 5);
-            let y = model.add_integer("y", 0, 5);
-            model.add_constraint("cover", LinExpr::new().plus(1, x).plus(2, y), Cmp::Ge, 7);
-            model.add_constraint(
-                "total",
-                LinExpr::new().plus(1, x).plus(1, y),
-                Cmp::Le,
-                total,
-            );
-            let result = Solver::new().solve(&model).unwrap();
-            if let Some(solution) = &result.solution {
-                assert!(model.check_assignment(solution).is_ok());
-            }
-            result.status
-        };
-        assert_eq!(at_most(4), SolveStatus::Feasible);
-        assert_eq!(at_most(3), SolveStatus::Infeasible);
     }
 
     #[test]

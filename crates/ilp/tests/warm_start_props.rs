@@ -14,7 +14,7 @@
 //!   nonsensical — reaches exactly the same status as the cold solve of the
 //!   same model (hints reorder the search, they never remove answers),
 //! * the propagation engine reaches the same fixpoint as a reference that
-//!   rescans every row, and backtracking restores the bounds exactly.
+//!   rescans every row, and backtracking restores the assignment exactly.
 
 use strudel_ilp::engine::Engine;
 use strudel_ilp::prelude::*;
@@ -323,20 +323,13 @@ fn int_in(rng: &mut StdRng, low: i64, high: i64) -> i64 {
     low + rng.gen_range(0..(high - low + 1) as usize) as i64
 }
 
-/// A random feasibility model over binary and small-range integer
-/// variables (bounds within −3..=5), so a row's reach often exceeds 1.
-fn random_mixed_model(rng: &mut StdRng) -> Model {
+/// A random feasibility model over 2–7 binaries whose rows each hold a
+/// random subset of them, with coefficients in −3..=3, so a row's reach
+/// often exceeds 1.
+fn random_sparse_model(rng: &mut StdRng) -> Model {
     let mut model = Model::new();
     let vars: Vec<VarId> = (0..rng.gen_range(2..8usize))
-        .map(|i| {
-            if rng.gen_bool(0.5) {
-                model.add_binary(format!("b{i}"))
-            } else {
-                let lower = int_in(rng, -3, 5);
-                let upper = int_in(rng, lower, 5);
-                model.add_integer(format!("n{i}"), lower, upper)
-            }
-        })
+        .map(|i| model.add_binary(format!("x{i}")))
         .collect();
     for c in 0..rng.gen_range(1..6usize) {
         let mut expr = LinExpr::new();
@@ -363,7 +356,7 @@ fn normalized_rows(model: &Model) -> Vec<(Vec<(usize, i64)>, i128)> {
             .map(|&(var, coeff)| (var.index(), coeff))
             .collect();
         let negated: Vec<(usize, i64)> = terms.iter().map(|&(var, coeff)| (var, -coeff)).collect();
-        let rhs = i128::from(constraint.rhs) - i128::from(constraint.expr.constant);
+        let rhs = i128::from(constraint.rhs);
         match constraint.cmp {
             Cmp::Le => rows.push((terms, rhs)),
             Cmp::Ge => rows.push((negated, -rhs)),
@@ -376,55 +369,44 @@ fn normalized_rows(model: &Model) -> Vec<(Vec<(usize, i64)>, i128)> {
     rows
 }
 
-/// The reference propagator: rescans every row in full, deriving each
-/// term's bound from the rest of the row at its minimum, until a whole pass
-/// changes nothing. Returns `false` on a conflict.
-fn reference_propagate(
-    rows: &[(Vec<(usize, i64)>, i128)],
-    lower: &mut [i64],
-    upper: &mut [i64],
-) -> bool {
-    let least = |coeff: i64, var: usize, lower: &[i64], upper: &[i64]| {
-        let bound = if coeff > 0 { lower[var] } else { upper[var] };
-        i128::from(coeff) * i128::from(bound)
+/// The reference propagator: rescans every row in full and, for each free
+/// term, tries both values against the rest of the row at its minimum. A
+/// value that exceeds the right-hand side is ruled out; a term left with
+/// one value is fixed to it, and one left with none is a conflict. Repeats
+/// until a whole pass changes nothing. Returns `false` on a conflict.
+fn reference_propagate(rows: &[(Vec<(usize, i64)>, i128)], values: &mut [Option<bool>]) -> bool {
+    // The least a term can add to its row: its value when fixed, else the
+    // smaller of 0 and its coefficient.
+    let least = |coeff: i64, value: Option<bool>| match value {
+        Some(value) => i128::from(coeff) * i128::from(value),
+        None => i128::from(coeff.min(0)),
     };
     loop {
         let mut changed = false;
         for (terms, rhs) in rows {
             let min_activity: i128 = terms
                 .iter()
-                .map(|&(var, coeff)| least(coeff, var, lower, upper))
+                .map(|&(var, coeff)| least(coeff, values[var]))
                 .sum();
             if min_activity > *rhs {
                 return false;
             }
             for (i, &(var, coeff)) in terms.iter().enumerate() {
-                if coeff == 0 {
+                if values[var].is_some() {
                     continue;
                 }
                 let rest: i128 = terms
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != i)
-                    .map(|(_, &(other, c))| least(c, other, lower, upper))
+                    .map(|(_, &(other, c))| least(c, values[other]))
                     .sum();
-                let slack = rhs - rest;
-                if coeff > 0 {
-                    let bound = slack.div_euclid(i128::from(coeff));
-                    if bound < i128::from(upper[var]) {
-                        if bound < i128::from(lower[var]) {
-                            return false;
-                        }
-                        upper[var] = bound as i64;
-                        changed = true;
-                    }
-                } else {
-                    let bound = -slack.div_euclid(-i128::from(coeff));
-                    if bound > i128::from(lower[var]) {
-                        if bound > i128::from(upper[var]) {
-                            return false;
-                        }
-                        lower[var] = bound as i64;
+                let fits = |value: bool| rest + i128::from(coeff) * i128::from(value) <= *rhs;
+                match (fits(false), fits(true)) {
+                    (true, true) => {}
+                    (false, false) => return false,
+                    (zero, _) => {
+                        values[var] = Some(!zero);
                         changed = true;
                     }
                 }
@@ -436,45 +418,35 @@ fn reference_propagate(
     }
 }
 
-/// The engine's current `(lower, upper)` bounds.
-fn engine_bounds(engine: &Engine) -> (Vec<i64>, Vec<i64>) {
-    let vars = 0..engine.num_vars();
-    (
-        vars.clone().map(|var| engine.lower(var)).collect(),
-        vars.map(|var| engine.upper(var)).collect(),
-    )
-}
-
-/// Asserts the engine holds exactly these bounds and that `all_fixed`
+/// Asserts the engine holds exactly these values and that `all_fixed`
 /// agrees with a full scan of them.
-fn assert_state(engine: &Engine, lower: &[i64], upper: &[i64], context: &str) {
-    assert_eq!(
-        engine_bounds(engine),
-        (lower.to_vec(), upper.to_vec()),
-        "{context}"
-    );
-    let scan = lower.iter().zip(upper).all(|(l, u)| l == u);
+fn assert_state(engine: &Engine, values: &[Option<bool>], context: &str) {
+    let held: Vec<Option<bool>> = (0..engine.num_vars())
+        .map(|var| engine.value(var))
+        .collect();
+    assert_eq!(held, values, "{context}");
+    let scan = values.iter().all(Option::is_some);
     assert_eq!(engine.all_fixed(), scan, "{context}");
 }
 
 /// After every `propagate`, the engine's conflict verdict (and, when there
-/// is none, its bounds and `all_fixed`) equals the reference fixpoint's;
-/// after every `pop_level`, the bounds are those saved at the matching push
-/// and `all_fixed` agrees with a full scan. Bound changes mirror the
-/// engine's own rules: at or inside the current bound is a no-op, past the
-/// other bound is refused.
+/// is none, its assignment and `all_fixed`) equals the reference fixpoint's;
+/// after every `pop_level`, the assignment is the one saved at the matching
+/// push and `all_fixed` agrees with a full scan. Fixings mirror the
+/// engine's own rule: the value a variable holds is a no-op, the other
+/// value is refused.
 #[test]
 fn propagation_matches_a_reference_fixpoint() {
     const SEED: u64 = 0xf1c5;
     let mut rng = StdRng::seed_from_u64(SEED);
     for case in 0..256 {
-        let model = random_mixed_model(&mut rng);
+        let model = random_sparse_model(&mut rng);
         let context = format!("seed {SEED:#x} case {case}: {model:?}");
         let rows = normalized_rows(&model);
         let mut engine = Engine::new(&model).expect("engine");
-        let (mut lower, mut upper) = engine_bounds(&engine);
+        let mut values = vec![None; engine.num_vars()];
         engine.schedule_all();
-        let feasible = reference_propagate(&rows, &mut lower, &mut upper);
+        let feasible = reference_propagate(&rows, &mut values);
         assert_eq!(
             engine.propagate().is_ok(),
             feasible,
@@ -483,12 +455,11 @@ fn propagation_matches_a_reference_fixpoint() {
         if !feasible {
             continue;
         }
-        let (root_lower, root_upper) = (lower.clone(), upper.clone());
-        // Bounds saved at each open level; `settled` holds when nothing
-        // waits for propagation, `conflict` after a failed propagation.
-        let mut saved: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
+        // The assignment saved at each open level; `settled` holds when
+        // nothing waits for propagation, `conflict` after a failed one.
+        let mut saved: Vec<Vec<Option<bool>>> = Vec::new();
         let (mut settled, mut conflict) = (true, false);
-        assert_state(&engine, &lower, &upper, &context);
+        assert_state(&engine, &values, &context);
         for step in 0..48 {
             let context = format!("{context} step {step}");
             let op = if conflict {
@@ -499,45 +470,33 @@ fn propagation_matches_a_reference_fixpoint() {
             match op {
                 1 if !saved.is_empty() => {
                     engine.pop_level();
-                    (lower, upper) = saved.pop().expect("an open level");
-                    assert_state(&engine, &lower, &upper, &context);
+                    values = saved.pop().expect("an open level");
+                    assert_state(&engine, &values, &context);
                     (settled, conflict) = (true, false);
                 }
                 0..=4 if settled && (op <= 1 || saved.is_empty()) => {
                     engine.push_level();
-                    saved.push((lower.clone(), upper.clone()));
+                    saved.push(values.clone());
                 }
                 2..=4 => {
                     let var = rng.gen_range(0..engine.num_vars());
-                    let value = int_in(&mut rng, root_lower[var] - 1, root_upper[var] + 1);
-                    let (new_lower, new_upper) = match op {
-                        2 => (value, value),
-                        3 => (lower[var], value.min(upper[var])),
-                        _ => (value.max(lower[var]), upper[var]),
-                    };
-                    let accepted = lower[var] <= new_lower
-                        && new_upper <= upper[var]
-                        && new_lower <= new_upper;
-                    let result = match op {
-                        2 => engine.fix(var, value),
-                        3 => engine.set_upper(var, value),
-                        _ => engine.set_lower(var, value),
-                    };
+                    let value = rng.gen_bool(0.5);
+                    let accepted = values[var] != Some(!value);
                     assert_eq!(
-                        result.is_ok(),
+                        engine.fix(var, value).is_ok(),
                         accepted,
-                        "{context}: op {op} x{var} = {value}"
+                        "{context}: x{var} = {value}"
                     );
-                    if accepted {
-                        (lower[var], upper[var]) = (new_lower, new_upper);
+                    if accepted && values[var].is_none() {
+                        values[var] = Some(value);
                         settled = false;
                     }
                 }
                 _ => {
-                    let feasible = reference_propagate(&rows, &mut lower, &mut upper);
+                    let feasible = reference_propagate(&rows, &mut values);
                     assert_eq!(engine.propagate().is_ok(), feasible, "{context}");
                     if feasible {
-                        assert_state(&engine, &lower, &upper, &context);
+                        assert_state(&engine, &values, &context);
                     }
                     (settled, conflict) = (feasible, !feasible);
                 }
